@@ -64,11 +64,11 @@ struct CellResult {
 
 CellResult run_cell(const scenario::RackConfig& cfg,
                     const testing::NetSpec& spec, core::SchedulerKind kind,
-                    unsigned threads, int opt_level) {
+                    int opt_level) {
   core::Netlist nl;
   spec.build(nl, rack_registry());
   opt::optimize(nl, opt::OptOptions::for_level(opt_level));
-  core::Simulator sim(nl, kind, threads);
+  core::Simulator sim(nl, kind);
   resil::TraceRecorder recorder(nl);
   sim.set_probe(&recorder);
   CellResult res;
@@ -114,23 +114,14 @@ int main() {
   scenario::RackConfig cfg;  // the default 2x2 rack, 2 cores + OoO per node
   const testing::NetSpec spec = scenario::rack_netspec(cfg);
 
-  struct Cell {
-    const char* label;
-    core::SchedulerKind kind;
-    unsigned threads;
-  };
-  std::vector<Cell> matrix = {
-      {"dynamic", core::SchedulerKind::Dynamic, 0},
-      {"static", core::SchedulerKind::Static, 0},
-      {"parallel", core::SchedulerKind::Parallel, 0},
-      {"compiled", core::SchedulerKind::Compiled, 0},
-  };
+  std::vector<SchedulerSpec> matrix = scheduler_matrix();
+  matrix.push_back({"compiled", core::SchedulerKind::Compiled});
   if (gen::native_available()) {
     // Digest identity at macro scale is the point of this row: whatever
     // the emitter declines inside the rack runs on the bytecode fallback
     // of the same scheduler, and the trace/state digests must still match
     // every other cell bit for bit.
-    matrix.push_back({"native", core::SchedulerKind::Native, 0});
+    matrix.push_back({"native", core::SchedulerKind::Native});
   } else {
     std::printf("(native codegen not built: configure with "
                 "-DLIBERTY_NATIVE_CODEGEN=ON for a native row)\n");
@@ -152,10 +143,9 @@ int main() {
   bool identical = true;
   std::uint64_t ref_trace = 0, ref_state = 0;
   bool have_ref = false;
-  for (const Cell& cell : matrix) {
+  for (const SchedulerSpec& cell : matrix) {
     for (const int opt_level : {0, 2}) {
-      const CellResult res =
-          run_cell(cfg, spec, cell.kind, cell.threads, opt_level);
+      const CellResult res = run_cell(cfg, spec, cell.kind, opt_level);
       if (!have_ref) {
         ref_trace = res.trace_digest;
         ref_state = res.state_digest;
@@ -164,8 +154,7 @@ int main() {
                  res.state_digest != ref_state) {
         identical = false;
       }
-      const std::string label =
-          std::string(cell.label) + "-O" + std::to_string(opt_level);
+      const std::string label = cell.label + "-O" + std::to_string(opt_level);
       table.row({label, fmt(res.wall_s, 3), fmt(res.p50, 0), fmt(res.p95, 0),
                  fmt(res.p99, 0), fmt(res.throughput_rpkc, 3),
                  fmt(res.completed)});

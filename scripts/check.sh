@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # One-command verification: build and test the release configuration, then
-# the ASan+UBSan configuration (and ThreadSanitizer if requested).
+# the ASan+UBSan configuration.
 #
 #   scripts/check.sh            # release + asan-ubsan
-#   scripts/check.sh --tsan     # additionally build tsan and run `ctest -L tsan`
 #   scripts/check.sh --quick    # release only, skipping the `fuzz` label
 #
 # LIBERTY_NATIVE=1 configures the release build with the native codegen
@@ -15,13 +14,11 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-run_tsan=0
 quick=0
 for arg in "$@"; do
   case "$arg" in
-    --tsan) run_tsan=1 ;;
     --quick) quick=1 ;;
-    *) echo "usage: $0 [--tsan] [--quick]" >&2; exit 2 ;;
+    *) echo "usage: $0 [--quick]" >&2; exit 2 ;;
   esac
 done
 
@@ -53,15 +50,38 @@ assert isinstance(events, list) and events, "trace has no traceEvents"
 assert all("ph" in e for e in events), "trace event missing ph"
 metrics = json.load(open(sys.argv[2]))
 assert metrics.get("schema") == "liberty.metrics", metrics.get("schema")
-assert metrics.get("schema_version") == 1, metrics.get("schema_version")
+assert metrics.get("schema_version") == 2, metrics.get("schema_version")
 for key in ("meta", "counters", "scalars", "summaries"):
     assert key in metrics, "metrics missing " + key
+assert "threads" not in metrics["meta"], "schema v2 has no meta.threads"
 print("profile smoke ok: %d trace events, %d counters"
       % (len(events), len(metrics["counters"])))
 PY
 else
   echo "python3 not found; skipped JSON schema validation"
 fi
+
+# Front-end argument checks: a malformed numeric flag and a removed
+# scheduler name must both be rejected with exit status 2, the latter
+# naming exactly the four scheduler kinds.
+echo "=== front-end argument checks ==="
+arg_status=0
+./build/examples/lss_run examples/specs/funnel.lss --cycles 12x --quiet \
+  >/dev/null 2>&1 || arg_status=$?
+if [ "$arg_status" -ne 2 ]; then
+  echo "lss_run --cycles 12x exited $arg_status, expected 2" >&2
+  exit 1
+fi
+arg_status=0
+./build/examples/lss_run examples/specs/funnel.lss --scheduler parallel \
+  --quiet >/dev/null 2>"$smoke_dir/sched.err" || arg_status=$?
+if [ "$arg_status" -ne 2 ]; then
+  echo "lss_run --scheduler parallel exited $arg_status, expected 2" >&2
+  exit 1
+fi
+grep -q "unknown scheduler kind 'parallel' (valid: dyn|dynamic, static, comp|compiled, native)" \
+  "$smoke_dir/sched.err"
+echo "front-end argument checks ok"
 
 # Optimizer golden-stats: every example spec must produce identical
 # statistics at -O0 and at the default -O2 (docs/optimizer.md).  This is
@@ -252,14 +272,5 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan -j "$jobs"
 echo "=== asan+ubsan tests ==="
 ctest --test-dir build-asan --output-on-failure -j "$jobs" -LE fuzz
-
-if [ "$run_tsan" -eq 1 ]; then
-  echo "=== tsan build ==="
-  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DLIBERTY_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$jobs"
-  echo "=== tsan tests (label: tsan) ==="
-  ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L tsan
-fi
 
 echo "all checks passed"

@@ -143,16 +143,6 @@ void TrafficSink::end_of_cycle() {
   if (stop_after_ != 0 && received_ >= stop_after_) request_stop();
 }
 
-void TrafficSink::declare_opt(liberty::core::OptTraits& traits) const {
-  traits.sleepable();
-}
-
-bool TrafficSink::can_sleep() const {
-  // Drives nothing; transfers into an asleep module still run its
-  // end_of_cycle, so the stats and stop_after trigger are preserved.
-  return true;
-}
-
 void TrafficSink::save_state(liberty::core::StateWriter& w) const {
   w.put_u64(received_);
 }

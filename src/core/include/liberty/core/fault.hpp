@@ -22,9 +22,10 @@
 //
 // Determinism contract for implementations: the mapping applied to a channel
 // must be a pure function of (connection identity, current cycle, incoming
-// signal) — NEVER of the incoming value.  The -O2 quiescence gate caches and
-// replays post-mapping values; a value-dependent mapping would compose with
-// itself on replay and diverge from -O0.  liberty::resil::FaultInjector is
+// signal) — NEVER of the incoming value.  A channel may be driven through
+// the seam more than once per cycle (an -O2 pre-resolved constant and its
+// module's re-drive), and only an input-independent mapping is guaranteed
+// to map every such drive identically.  liberty::resil::FaultInjector is
 // the reference implementation; see docs/resilience.md.
 //
 // Module-safety contract: a forward mapping may corrupt or suppress an

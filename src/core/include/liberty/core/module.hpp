@@ -128,17 +128,10 @@ class Module {
   virtual void declare_deps(Deps&) const {}
 
   /// Declare optimizer-relevant facts (statelessness, purity, pass-through
-  /// structure, constant drives, sleepability) for liberty::opt.  The
+  /// structure, constant drives) for liberty::opt.  The
   /// default declares nothing, which leaves the module opaque to every
   /// pass — always sound.
   virtual void declare_opt(OptTraits&) const {}
-
-  /// For modules that declared OptTraits::sleepable(): true when the
-  /// module's drives next cycle would be identical to this cycle's given
-  /// unchanged inputs (its state component is quiescent).  Queried by the
-  /// quiescence-gating schedulers after end_of_cycle; irrelevant (and
-  /// unqueried) unless sleepable was declared.
-  [[nodiscard]] virtual bool can_sleep() const { return false; }
 
   /// Serialize all sequential state needed to resume deterministically
   /// (called between cycles by Simulator::snapshot).  Statistics are NOT

@@ -73,8 +73,8 @@ class Netlist {
   }
 
   /// True once any module has called Module::request_stop() this run.
-  /// Atomic because modules may request a stop from parallel-scheduler
-  /// worker threads.
+  /// Atomic so that a thread other than the simulation thread may poll
+  /// it.
   [[nodiscard]] bool stop_requested() const noexcept {
     return stop_flag_.load(std::memory_order_relaxed);
   }
@@ -109,7 +109,7 @@ class Netlist {
   /// Schedulers cache quarantine flags at construction, so this must be
   /// followed by a simulator rebuild — and any optimizer plan derived from
   /// the module's declared behaviour must be dropped first (quarantine
-  /// invalidates constprop/fusion/gating facts about this module).  See
+  /// invalidates constprop/fusion facts about this module).  See
   /// docs/resilience.md for when this policy is unsound.
   void quarantine(Module& m);
   [[nodiscard]] bool is_quarantined(ModuleId id) const noexcept {

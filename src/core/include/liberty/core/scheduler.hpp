@@ -7,7 +7,7 @@
 // by the kernel (forward channels to "offers nothing", managed backward
 // channels to "refuses") — this is what lets partial specifications simulate.
 //
-// Three interchangeable schedulers compute that fixed point:
+// Interchangeable schedulers compute that fixed point:
 //
 //  * DynamicScheduler — event-driven worklist.  Whenever a channel resolves,
 //    the module observing it is re-activated.  No knowledge of module
@@ -21,26 +21,16 @@
 //    the paper's §2.3 claim (ref [22], Penry & August, DAC 2003) that fixing
 //    the MoC makes the specification analyzable for optimization.
 //
-//  * ParallelScheduler — levelizes the same SCC condensation DAG into
-//    execution *waves* (sets of SCCs with no dependencies between them),
-//    coarsens each wave into per-module clusters so no module's react() is
-//    ever invoked from two threads concurrently, and executes the clusters
-//    of each wave on a persistent worker pool.  See docs/scheduling.md.
-//
-// All schedulers produce bit-identical simulations; tests verify this on
-// every component library and on randomized netlists.
+// The compiled and native backends (liberty::gen) build on the static
+// scheduler's analysis.  All schedulers produce bit-identical simulations;
+// tests verify this on every component library and on randomized
+// netlists.  The kernel is single-threaded: every handler runs and every
+// channel resolves on the thread that calls run_cycle.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "liberty/core/netlist.hpp"
@@ -51,42 +41,26 @@ namespace liberty::core {
 
 namespace detail {
 
-/// Per-thread resolution bookkeeping shared by all schedulers.  Hooks fire
-/// on whichever thread resolves a channel; accumulating into a thread-local
-/// context keeps the hot path free of shared-counter contention, and the
-/// schedulers fold the deltas back into their own totals at well-defined
-/// synchronization points (end of run_cycle; end of each parallel wave).
+/// Per-cycle resolution bookkeeping of one scheduler: the resolve hooks
+/// count into it, and run_cycle folds it into the scheduler's totals.
 struct ResolveCtx {
   std::uint64_t resolutions = 0;  // channel resolutions observed
   std::uint64_t reacts = 0;       // Module::react invocations
   std::uint64_t defaults = 0;     // kernel defaulting actions
   std::vector<Connection*> transferred;  // dirty list: completed transfers
-
-  // Profiling lane (active only while a KernelProbe is installed): per-
-  // module react attribution, flushed to the probe and zeroed at the same
-  // synchronization points as the counters above.
-  bool timing = false;
-  std::vector<std::uint64_t> mod_reacts;
-  std::vector<double> mod_seconds;
-
-  void size_profile(std::size_t n_modules) {
-    if (mod_reacts.size() < n_modules) {
-      mod_reacts.resize(n_modules, 0);
-      mod_seconds.resize(n_modules, 0.0);
-    }
-  }
+  /// Non-null while a KernelProbe is installed: every react is timed and
+  /// reported to it (per-module attribution).
+  KernelProbe* timing = nullptr;
 };
 
-extern thread_local ResolveCtx t_resolve_ctx;
-
-void timed_react(Module& m, ResolveCtx& ctx);
+/// Run m.react() between two clock reads and report it to `probe`.
+void timed_react(Module& m, KernelProbe& probe);
 
 }  // namespace detail
 
 /// Channel dependency graph + SCC condensation of one netlist, built from
-/// the dependencies modules declare.  This is the §2.3 analysis artifact;
-/// the static scheduler walks its SCCs sequentially and the parallel
-/// scheduler levelizes them into waves.
+/// the dependencies modules declare.  This is the §2.3 analysis artifact
+/// the static scheduler walks in topological order.
 class ScheduleGraph {
  public:
   struct Node {
@@ -122,15 +96,6 @@ class ScheduleGraph {
   }
   [[nodiscard]] std::size_t largest_scc() const noexcept;
 
-  /// The module whose cluster is responsible for executing a node: the
-  /// driver when one exists, otherwise (kernel-driven AutoAccept acks) the
-  /// connection's producer, so the kernel drive happens on the same thread
-  /// that resolved the forward channel.
-  [[nodiscard]] Module* home_module(ChannelId ch) const noexcept {
-    const Node& n = nodes_[ch];
-    return n.driver != nullptr ? n.driver : n.conn->producer();
-  }
-
  private:
   void add_module_edges(Netlist& netlist,
                         std::vector<std::vector<ChannelId>>& succs,
@@ -145,187 +110,9 @@ class ScheduleGraph {
   std::vector<char> self_loop_;                // per SCC index
 };
 
-/// Runtime state of the optimizer's quiescence-gating pass (OptPlan::gating).
-///
-/// The gate learns, per schedule-graph SCC, whether the SCC's result this
-/// cycle is forced to equal last cycle's: every module driving a channel of
-/// the SCC declared sleepable() and reports can_sleep(), the cached result
-/// from last cycle is valid, and every boundary channel (predecessors
-/// outside the SCC) resolved to exactly its cached signal and value.  When
-/// all hold, the SCC's channels are *replayed* from the cache — each channel
-/// still resolves, through the normal send/idle/ack/nack paths with all
-/// hooks firing, so transfer traces, digests and stats stay bit-identical —
-/// without invoking any module handler.  Modules all of whose driven
-/// channels sit in candidate SCCs additionally skip cycle_start while
-/// asleep, and skip end_of_cycle unless one of their connections transferred
-/// this cycle (transfers must commit state wherever they land).
-///
-/// Thread-safety: per-SCC state is only touched by the cluster executing
-/// that SCC (single writer per wave, waves separated by barriers); the
-/// per-module asleep flags are atomic because wake decisions from one SCC's
-/// cluster race reads from none but TSan-visible skip checks.  Cache
-/// refresh and per-cycle reset run on the main thread between cycles.
-class QuiescenceGate {
- public:
-  using CounterVisitor =
-      std::function<void(std::string_view name, std::uint64_t value)>;
-
-  /// Derive candidate SCCs and gateable modules from the schedule graph and
-  /// the optimizer plan.  No-op (gate stays disabled) when the plan has no
-  /// gating or nothing qualifies.
-  void build(const ScheduleGraph& graph, const OptPlan& plan,
-             const std::vector<Module*>& modules);
-
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-  [[nodiscard]] bool is_candidate(std::uint32_t scc) const noexcept {
-    return enabled_ && candidate_[scc] != 0;
-  }
-  /// Candidate SCC indices in topological order.
-  [[nodiscard]] const std::vector<std::uint32_t>& candidates() const noexcept {
-    return candidates_;
-  }
-  [[nodiscard]] bool module_asleep(ModuleId id) const noexcept {
-    return enabled_ && asleep_[id].load(std::memory_order_relaxed) != 0;
-  }
-  /// Structural: may this module ever be marked asleep?  Lowering uses this
-  /// to keep the asleep check out of opcodes for modules that cannot sleep
-  /// (runtime retirement only ever shrinks the gateable set, so a gated
-  /// opcode for a since-retired module degrades to one always-false test).
-  [[nodiscard]] bool module_gateable(ModuleId id) const noexcept {
-    return enabled_ && gateable_[id] != 0;
-  }
-
-  /// Reset per-cycle state and mark gateable quiescent modules asleep.
-  /// A module sleeps only when every candidate SCC it drives is armed
-  /// (not backed off) at `cycle` — so a backed-off SCC never has asleep
-  /// drivers and its try_sleep fast path is a single compare.
-  void begin_cycle(Cycle cycle);
-  /// Decide SCC `scc` at its schedule slot: replay from cache when every
-  /// driver can sleep and the boundary is unchanged (returns true), else
-  /// wake any asleep drivers (running their deferred cycle_start for
-  /// `cycle`, and reporting them through `woken` when non-null) and return
-  /// false so the caller executes the SCC normally.
-  /// The disabled/retired test is inline: schedulers and the compiled tape
-  /// query the gate once per SCC (and once per module for the commit skip)
-  /// every cycle, so after the cost-model guard turns the gate off these
-  /// must cost one predictable branch — not an out-of-line call whose body
-  /// immediately returns.
-  bool try_sleep(std::uint32_t scc, Cycle cycle,
-                 std::vector<Module*>* woken = nullptr) {
-    if (!enabled_ || suspended_ || candidate_[scc] == 0) return false;
-    return try_sleep_slow(scc, cycle, woken);
-  }
-  /// Stamp modules adjacent to this cycle's transfers (pre-dedup dirty
-  /// list) so skip_end_of_cycle keeps their commit hook.
-  void mark_transfers(const std::vector<Connection*>& transferred,
-                      std::uint64_t token);
-  [[nodiscard]] bool skip_end_of_cycle(const Module& m, std::uint64_t token) {
-    return enabled_ && skip_end_of_cycle_slow(m, token);
-  }
-  /// Refresh caches from this cycle's resolved channels and re-sample
-  /// can_sleep() for next cycle.  Main thread, before reset_channels.
-  /// `cycle` is the cycle that just finished; SCCs backed off past the next
-  /// cycle skip the (Value-copying) snapshot entirely.
-  void refresh(Cycle cycle);
-  /// Drop all learned state (Simulator::restore).
-  void invalidate();
-
-  void visit_counters(const CounterVisitor& visit) const;
-
-  /// True while the measured cost-model guard runs its ungated sample
-  /// window (nothing sleeps; see kCalibPeriod below).
-  [[nodiscard]] bool suspended() const noexcept { return suspended_; }
-
- private:
-  struct Ch {
-    Connection* conn = nullptr;
-    ChannelKind kind = ChannelKind::Forward;
-    ChannelId id = 0;
-  };
-  struct SccInfo {
-    std::vector<Ch> members;   // forwards first (replay order)
-    std::vector<Ch> boundary;  // distinct predecessors outside the SCC
-    std::vector<Module*> drivers;  // distinct, first-appearance order
-  };
-
-  bool try_sleep_slow(std::uint32_t scc, Cycle cycle,
-                      std::vector<Module*>* woken);
-  [[nodiscard]] bool skip_end_of_cycle_slow(const Module& m,
-                                            std::uint64_t token);
-  [[nodiscard]] bool boundary_unchanged(const SccInfo& si) const;
-  void replay(const SccInfo& si);
-  /// Permanently drop one SCC from gating: its drivers stop arming asleep
-  /// (so cycle_start keeps running and the SCC resolves normally).
-  void retire_scc(std::uint32_t scc);
-  void clear_asleep() noexcept;
-  /// Forget learned caches (cache validity, backoff, sampled sleep_ok)
-  /// while keeping the candidate structure — used when gating resumes
-  /// after a suspended window left the caches stale.
-  void drop_caches();
-
-  bool enabled_ = false;
-  std::vector<SccInfo> info_;          // per SCC (empty unless candidate)
-  std::vector<char> candidate_;        // per SCC
-  std::vector<std::uint32_t> candidates_;
-  std::vector<Module*> tracked_;       // drivers of candidates + gateable
-  std::vector<std::vector<std::uint32_t>> sccs_of_;  // module -> driven SCCs
-  std::vector<char> gateable_;         // per module
-  std::vector<char> sleep_ok_;         // per module, sampled at refresh
-  std::unique_ptr<std::atomic<std::uint8_t>[]> asleep_;  // per module
-  std::vector<char> slept_;            // per SCC, current cycle
-  std::vector<char> cache_valid_;      // per SCC
-  // Exponential backoff for SCCs that keep failing to sleep: a failed
-  // attempt schedules the next one `backoff_` cycles out (doubling to
-  // kMaxBackoff) so persistently busy SCCs cost one counter compare per
-  // cycle instead of a boundary compare plus a cache snapshot.
-  static constexpr Cycle kMaxBackoff = 64;
-  std::vector<Cycle> attempt_at_;      // per SCC: next attempt cycle
-  std::vector<Cycle> backoff_;         // per SCC: current backoff span
-  // Global retirement: every kAuditPeriod cycles refresh() totals the
-  // sleep counters, and after two consecutive windows with zero sleeps the
-  // gate disables itself for the rest of the run — a netlist that never
-  // quiesces stops paying the per-cycle machinery entirely.
-  static constexpr Cycle kAuditPeriod = 256;
-  Cycle next_audit_ = kAuditPeriod;
-  std::uint64_t sleeps_at_audit_ = 0;
-  int zero_windows_ = 0;
-  // Measured cost-model guard: gating is an optimization bet, and some
-  // netlists lose it (boundary compares + cache replays + snapshot refresh
-  // cost more than the handlers they skip).  The first kCalibPeriod-cycle
-  // window after construction runs gated, the second runs *suspended*
-  // (nothing sleeps, no snapshots), and refresh() compares the wall-clock
-  // window times: the gate survives only when the gated window was
-  // measurably faster (a >=2% win) — a marginal gate keeps costing every
-  // remaining cycle, so the asymmetric risk says bail unless gating
-  // provably pays.  Timing feeds the on/off decision only — gating
-  // never changes simulation results — so bit-identity is untouched.
-  // Additionally each audit window retires individual SCCs whose measured
-  // sleep ratio is below 1/2: below that, the per-sleep replay plus the
-  // per-cycle boundary/snapshot overhead cannot beat the skipped handlers.
-  static constexpr Cycle kCalibPeriod = 384;
-  enum class Calib : std::uint8_t { GatedWindow, UngatedWindow, Done };
-  Calib calib_ = Calib::GatedWindow;
-  bool suspended_ = false;
-  bool win_started_ = false;
-  Cycle win_end_ = 0;
-  std::chrono::steady_clock::time_point win_start_{};
-  double gated_seconds_ = 0.0;
-  std::uint64_t sleeps_at_win_ = 0;
-  std::vector<std::uint64_t> audit_scc_sleeps_;  // per SCC, at last audit
-  std::uint64_t retired_sccs_ = 0;
-  std::vector<Tristate> cached_sig_;   // per channel
-  std::vector<Value> cached_val_;      // per channel (asserted forwards)
-  std::vector<std::uint64_t> eoc_stamp_;  // per module: last transfer cycle
-  // Counters.  Per-SCC vectors are single-writer (the SCC's cluster);
-  // eoc_skips_ is main-thread only.
-  std::vector<std::uint64_t> scc_sleeps_;
-  std::vector<std::uint64_t> scc_wakes_;
-  std::uint64_t eoc_skips_ = 0;
-};
-
 class FaultHook;
 
-/// Fixed-point iteration guard: an SCC (static/parallel) or worklist
+/// Fixed-point iteration guard: an SCC (static/compiled) or worklist
 /// (dynamic) that exceeds this many passes in one cycle is reported as a
 /// non-converging combinational loop instead of spinning.  Monotone channel
 /// resolution structurally bounds genuine work well below this, so the
@@ -386,9 +173,9 @@ class SchedulerBase : public ResolveHooks {
 
   /// Reset mid-cycle kernel state after run_cycle aborted with an exception
   /// (watchdog violation, injected handler fault, non-convergence): wipes
-  /// every channel, re-arms fused-chain sweep stamps, and drops the
-  /// quiescence-gate caches.  Simulator::restore calls this unconditionally
-  /// — between cycles it is a harmless no-op re-initialization.
+  /// every channel and re-arms fused-chain sweep stamps.  Simulator::restore
+  /// calls this unconditionally — between cycles it is a harmless no-op
+  /// re-initialization.
   void recover_after_abort() noexcept;
 
   /// Visit every introspection counter of this scheduler, base counters
@@ -425,11 +212,6 @@ class SchedulerBase : public ResolveHooks {
   void on_forward_resolved(Connection& c) override { note_resolved(c); }
   void on_backward_resolved(Connection& c) override { note_resolved(c); }
 
-  /// Drop all quiescence-gating state learned from previous cycles
-  /// (Simulator::restore: cached channel values no longer describe the
-  /// restored state).
-  void invalidate_sleep_cache() noexcept { gate_.invalidate(); }
-
   /// The optimizer plan captured from the netlist at construction (null
   /// when simulating as written).
   [[nodiscard]] const OptPlan* opt_plan() const noexcept { return plan_; }
@@ -455,37 +237,27 @@ class SchedulerBase : public ResolveHooks {
   /// schedule (the compiled scheduler's start/commit tapes) can replace
   /// the generic loops.  `cycle_` is valid when they run; overrides must
   /// preserve the base loops' observable behaviour exactly (now_ stamping,
-  /// quarantine/elide/sleep skips, the end-of-cycle transfer gate).
+  /// quarantine/elide skips).
   virtual void start_phase();
-  virtual void update_phase(std::uint64_t eoc_token);
+  virtual void update_phase();
 
   /// Module::now_ is private with SchedulerBase as its friend; friendship
   /// does not extend to subclasses, so phase overrides stamp through this.
   static void set_now(Module& m, Cycle c) noexcept { m.now_ = c; }
 
-  /// Switch every connection of this netlist between seq_cst (default)
-  /// and relaxed channel-state publication.  A single-threaded backend
-  /// drops the seq_cst store cost; must never be relaxed while a
-  /// concurrent resolver (ParallelScheduler) could touch the channels.
-  void set_relaxed_resolution(bool relaxed) noexcept;
-
-  /// Record a channel resolution in the current thread's context.  When the
-  /// resolution completes a transfer, the connection joins the dirty list
-  /// (the seq_cst enable/ack ordering in Connection guarantees at least one
-  /// of the two resolving threads sees the completed pair; duplicates are
-  /// removed at end of cycle).
-  static void note_resolved(Connection& c) {
-    detail::ResolveCtx& ctx = detail::t_resolve_ctx;
-    ++ctx.resolutions;
-    if (c.transferred()) ctx.transferred.push_back(&c);
+  /// Record a channel resolution.  The resolution that completes a
+  /// transfer (the later of the connection's two channels) puts the
+  /// connection on the dirty list.
+  void note_resolved(Connection& c) {
+    ++ctx_.resolutions;
+    if (c.transferred()) ctx_.transferred.push_back(&c);
   }
 
   void call_react(Module& m) {
     if (any_quarantined_ && quarantined_[m.id()] != 0) return;
-    detail::ResolveCtx& ctx = detail::t_resolve_ctx;
-    ++ctx.reacts;
-    if (ctx.timing) {
-      detail::timed_react(m, ctx);
+    ++ctx_.reacts;
+    if (ctx_.timing != nullptr) {
+      detail::timed_react(m, *ctx_.timing);
     } else {
       m.react();
     }
@@ -498,36 +270,23 @@ class SchedulerBase : public ResolveHooks {
     return any_quarantined_ && quarantined_[id] != 0;
   }
   /// Resolve an undriven forward channel to "offers nothing".
-  static void default_forward(Connection& c);
+  void default_forward(Connection& c);
   /// Resolve an undriven managed backward channel to "refuses".  Skipped
   /// when a gated intent is still pending (it resolves with its forward).
-  static void default_backward(Connection& c);
+  void default_backward(Connection& c);
   /// Kernel drive for an AutoAccept backward channel whose forward is
   /// known.
   static void apply_auto_accept(Connection& c);
 
   void install_hooks(ResolveHooks* h);
 
-  /// Sum of connection generations: a cheap global progress measure.
-  [[nodiscard]] std::uint64_t total_generation() const noexcept;
-
-  /// Fold worker-thread deltas into this scheduler's totals (called by the
-  /// parallel scheduler at wave joins, under its pool mutex).
-  void absorb(const detail::ResolveCtx& delta);
-
-  /// Flush `ctx`'s per-module profiling buffers into the probe and zero
-  /// them.  Serialized by construction: called on the main thread between
-  /// waves, or from a worker under the pool mutex.
-  void flush_profile(detail::ResolveCtx& ctx);
-
   // ---- Optimizer consumption ---------------------------------------------
   //
   // All optimizer effects are annotations on the unchanged netlist: the
   // plan tells the scheduler which channels to pre-resolve (apply_consts),
-  // which modules to skip entirely (elided), which module groups to
-  // resolve with one fused sweep (run_chain), and whether quiescence
-  // gating is on (gate_).  plan_ == nullptr restores -O0 behaviour with
-  // one branch per hot-path site.
+  // which modules to skip entirely (elided), and which module groups to
+  // resolve with one fused sweep (run_chain).  plan_ == nullptr restores
+  // -O0 behaviour with one branch per hot-path site.
 
   /// Pre-resolve all provably constant channels (top of run_cycle; module
   /// re-drives of the same values are idempotent no-ops).
@@ -541,9 +300,7 @@ class SchedulerBase : public ResolveHooks {
   }
 
   /// Per-chain runtime state: cycle stamps making each sweep single-shot,
-  /// and sweep counters.  Single writer per wave (chain members are
-  /// clustered together by the parallel scheduler), wave barriers order
-  /// cross-thread access.
+  /// and sweep counters.
   struct ChainState {
     std::uint64_t fwd_stamp = 0;
     std::uint64_t bwd_stamp = 0;
@@ -552,7 +309,6 @@ class SchedulerBase : public ResolveHooks {
   };
 
   const OptPlan* plan_ = nullptr;
-  QuiescenceGate gate_;
   std::vector<ChainState> chain_state_;
   std::uint64_t opt_pre_resolved_ = 0;
 
@@ -577,9 +333,7 @@ class SchedulerBase : public ResolveHooks {
   std::vector<Module*> module_tape_;
   std::vector<Connection*> conn_tape_;
 
-  // Per-cycle accounting merged from worker threads (parallel waves).
-  std::uint64_t cycle_resolutions_ = 0;
-  std::vector<Connection*> cycle_transferred_;
+  detail::ResolveCtx ctx_;  // this cycle's resolution bookkeeping
 
  private:
   void verify_resolved(Cycle cycle) const;
@@ -620,7 +374,6 @@ class DynamicScheduler final : public SchedulerBase {
   void enqueue(Module* m);
   void drain();
 
-  std::vector<Module*> woken_scratch_;  // gate wake-ups pending enqueue
   std::uint64_t cycle_pops_ = 0;  // worklist pops this cycle (iteration cap)
   std::vector<Module*> ring_;  // power-of-two capacity ring buffer
   std::size_t mask_ = 0;
@@ -632,7 +385,8 @@ class DynamicScheduler final : public SchedulerBase {
   std::size_t high_water_ = 0;
 };
 
-/// Shared machinery of the analysis-driven schedulers (static & parallel):
+/// Shared machinery of the analysis-driven schedulers (static, compiled and
+/// native):
 /// node execution, SCC fixed-point iteration, and the endgame for channels
 /// the schedule could not attribute.
 class AnalyzedScheduler : public SchedulerBase {
@@ -682,10 +436,7 @@ class AnalyzedScheduler : public SchedulerBase {
   // discovery and defaulting-order sorts in the old run_scc hot path).
   std::vector<std::vector<Module*>> scc_drivers_;
   std::vector<std::vector<ChannelId>> scc_order_;  // forwards first
-  // Introspection counters.  scc_iters_ entries are only ever bumped by
-  // the one thread executing that SCC's cluster, so plain counters are
-  // safe under the parallel scheduler.
-  std::vector<std::uint64_t> scc_iters_;
+  std::vector<std::uint64_t> scc_iters_;  // introspection counters
   std::uint64_t cleanup_activations_ = 0;
 };
 
@@ -701,82 +452,6 @@ class StaticScheduler final : public AnalyzedScheduler {
 
  protected:
   void resolve_cycle() override;
-};
-
-/// Wave-parallel resolver: SCCs of the condensation DAG are levelized into
-/// waves, waves are coarsened into per-module clusters, and each wave's
-/// clusters run concurrently on a persistent worker pool.
-class ParallelScheduler final : public AnalyzedScheduler {
- public:
-  /// `threads` == 0 selects std::thread::hardware_concurrency().
-  explicit ParallelScheduler(Netlist& netlist, unsigned threads = 0);
-  ~ParallelScheduler() override;
-
-  [[nodiscard]] std::string_view kind_name() const override {
-    return "parallel";
-  }
-
-  [[nodiscard]] unsigned threads() const noexcept { return threads_; }
-  [[nodiscard]] std::size_t wave_count() const noexcept {
-    return waves_.size();
-  }
-  [[nodiscard]] std::size_t cluster_count() const noexcept {
-    return clusters_.size();
-  }
-  /// Largest number of independently executable clusters in any wave (the
-  /// available parallelism of this netlist's schedule).
-  [[nodiscard]] std::size_t max_wave_width() const noexcept;
-
-  void visit_counters(const CounterVisitor& visit) const override;
-
-  /// Waves handed to the worker pool vs. run inline on the main thread
-  /// (narrow waves skip the cross-thread handoff), across all cycles.
-  [[nodiscard]] std::uint64_t waves_dispatched() const noexcept {
-    return waves_dispatched_;
-  }
-  [[nodiscard]] std::uint64_t waves_inline() const noexcept {
-    return waves_inline_;
-  }
-
- protected:
-  void resolve_cycle() override;
-
- private:
-  struct Cluster {
-    std::vector<std::uint32_t> sccs;  // indices into graph_.sccs()
-  };
-  struct Wave {
-    std::uint32_t first = 0;  // [first, last) into clusters_
-    std::uint32_t last = 0;
-  };
-
-  void build_waves();
-  void run_cluster(const Cluster& cl);
-  void process_clusters();  // pull clusters via next_ until the wave is dry
-  void dispatch_wave(const Wave& w, std::size_t wave_index, Cycle cycle);
-  void worker_main(unsigned lane);
-
-  unsigned threads_ = 1;
-  std::vector<Cluster> clusters_;
-  std::vector<Wave> waves_;
-  std::uint64_t waves_dispatched_ = 0;
-  std::uint64_t waves_inline_ = 0;
-
-  // --- worker pool ---------------------------------------------------------
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t job_epoch_ = 0;   // bumped per dispatched wave
-  std::uint32_t job_first_ = 0;   // cluster range of the current wave
-  std::uint32_t job_last_ = 0;
-  std::size_t job_chunk_ = 1;
-  bool job_profile_ = false;      // workers time their busy span this wave
-  unsigned workers_active_ = 0;
-  bool shutdown_ = false;
-  std::exception_ptr worker_error_;
-  std::vector<double> lane_busy_;  // per-lane busy seconds, current wave
-  std::atomic<std::uint32_t> next_{0};  // chunked work-stealing index
-  std::vector<std::jthread> pool_;
 };
 
 }  // namespace liberty::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -12,18 +11,12 @@
 namespace liberty::core {
 
 namespace detail {
-thread_local ResolveCtx t_resolve_ctx;
-
 // Out of line so the untimed call_react fast path stays branch+call only.
-void timed_react(Module& m, ResolveCtx& ctx) {
+void timed_react(Module& m, KernelProbe& probe) {
   const auto t0 = std::chrono::steady_clock::now();
   m.react();
   const auto t1 = std::chrono::steady_clock::now();
-  const ModuleId id = m.id();
-  if (id < ctx.mod_reacts.size()) {
-    ++ctx.mod_reacts[id];
-    ctx.mod_seconds[id] += std::chrono::duration<double>(t1 - t0).count();
-  }
+  probe.on_react(m.id(), std::chrono::duration<double>(t1 - t0).count());
 }
 }  // namespace detail
 
@@ -231,455 +224,6 @@ std::size_t ScheduleGraph::largest_scc() const noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// QuiescenceGate
-// ---------------------------------------------------------------------------
-
-void QuiescenceGate::build(const ScheduleGraph& graph, const OptPlan& plan,
-                           const std::vector<Module*>& modules) {
-  if (!plan.gating) return;
-  const auto& sccs = graph.sccs();
-  const auto& nodes = graph.nodes();
-  const auto& scc_of = graph.scc_of();
-  const std::size_t n_scc = sccs.size();
-  const std::size_t n_mod = modules.size();
-  const std::size_t n_ch = nodes.size();
-
-  // Candidate SCCs: every channel gate-free (a transfer gate is arbitrary
-  // user code whose invocation pattern replay must not change), every
-  // driver sleepable and not elided (kernel-driven AutoAccept acks are
-  // fine), and not entirely constant (those are already pre-resolved).
-  candidate_.assign(n_scc, 0);
-  for (std::size_t i = 0; i < n_scc; ++i) {
-    bool ok = true;
-    bool all_const = true;
-    // Structural cost model: a replay only pays when it saves module
-    // handler work.  A driverless SCC (kernel-driven AutoAccept acks) is
-    // replayed at the same cost the kernel drive has, and an SCC fully
-    // covered by a fused chain is already resolved by one sweep that is
-    // strictly cheaper than per-channel replays — gating either is pure
-    // overhead (the passthrough-netlist -O2 regression).
-    bool any_driver = false;
-    bool all_chained = true;
-    for (ChannelId ch : sccs[i]) {
-      const ScheduleGraph::Node& n = nodes[ch];
-      if (n.conn->has_transfer_gate()) {
-        ok = false;
-        break;
-      }
-      if (n.driver != nullptr) {
-        any_driver = true;
-        if (!plan.module_sleepable(n.driver->id()) ||
-            plan.module_elided(n.driver->id())) {
-          ok = false;
-          break;
-        }
-      }
-      if (ch >= plan.channel_const.size() || plan.channel_const[ch] == 0) {
-        all_const = false;
-      }
-      if (ch >= plan.chain_of_channel.size() ||
-          plan.chain_of_channel[ch] < 0) {
-        all_chained = false;
-      }
-    }
-    if (ok && !all_const && any_driver && !all_chained) candidate_[i] = 1;
-  }
-
-  // Gateable modules may skip cycle_start/end_of_cycle while asleep, so
-  // every channel they drive must sit in a candidate SCC (otherwise that
-  // channel's normal execution still needs the module's drives).
-  std::vector<char> drives_ok(n_mod, 1);
-  for (ChannelId ch = 0; ch < n_ch; ++ch) {
-    const Module* d = nodes[ch].driver;
-    if (d != nullptr && candidate_[scc_of[ch]] == 0) drives_ok[d->id()] = 0;
-  }
-  gateable_.assign(n_mod, 0);
-  for (std::size_t id = 0; id < n_mod; ++id) {
-    if (plan.module_sleepable(id) && !plan.module_elided(id) &&
-        drives_ok[id] != 0) {
-      gateable_[id] = 1;
-    }
-  }
-
-  info_.assign(n_scc, SccInfo{});
-  candidates_.clear();
-  for (std::size_t i = 0; i < n_scc; ++i) {
-    if (candidate_[i] == 0) continue;
-    candidates_.push_back(static_cast<std::uint32_t>(i));
-    SccInfo& si = info_[i];
-
-    // Members forwards-first so replayed acks never precede their offers.
-    std::vector<ChannelId> order = sccs[i];
-    std::sort(order.begin(), order.end(), [&nodes](ChannelId a, ChannelId b) {
-      const bool af = nodes[a].kind == ChannelKind::Forward;
-      const bool bf = nodes[b].kind == ChannelKind::Forward;
-      if (af != bf) return af;
-      return a < b;
-    });
-    for (ChannelId ch : order) {
-      si.members.push_back(Ch{nodes[ch].conn, nodes[ch].kind, ch});
-    }
-
-    std::vector<ChannelId> boundary;
-    for (ChannelId ch : sccs[i]) {
-      for (ChannelId p : graph.preds()[ch]) {
-        if (scc_of[p] != i) boundary.push_back(p);
-      }
-    }
-    std::sort(boundary.begin(), boundary.end());
-    boundary.erase(std::unique(boundary.begin(), boundary.end()),
-                   boundary.end());
-    for (ChannelId p : boundary) {
-      si.boundary.push_back(Ch{nodes[p].conn, nodes[p].kind, p});
-    }
-
-    for (ChannelId ch : sccs[i]) {
-      Module* d = nodes[ch].driver;
-      if (d != nullptr &&
-          std::find(si.drivers.begin(), si.drivers.end(), d) ==
-              si.drivers.end()) {
-        si.drivers.push_back(d);
-      }
-    }
-  }
-  if (candidates_.empty()) return;
-
-  enabled_ = true;
-  sleep_ok_.assign(n_mod, 0);
-  asleep_ = std::make_unique<std::atomic<std::uint8_t>[]>(n_mod);
-  for (std::size_t i = 0; i < n_mod; ++i) {
-    asleep_[i].store(0, std::memory_order_relaxed);
-  }
-  slept_.assign(n_scc, 0);
-  cache_valid_.assign(n_scc, 0);
-  attempt_at_.assign(n_scc, 0);
-  backoff_.assign(n_scc, 0);
-  cached_sig_.assign(n_ch, Tristate::Unknown);
-  cached_val_.assign(n_ch, Value());
-  eoc_stamp_.assign(n_mod, 0);
-  scc_sleeps_.assign(n_scc, 0);
-  scc_wakes_.assign(n_scc, 0);
-  audit_scc_sleeps_.assign(n_scc, 0);
-
-  // Modules whose can_sleep() we sample each cycle: drivers of candidate
-  // SCCs (replay eligibility) plus gateable modules that drive nothing
-  // (e.g. pure sinks, whose win is the skipped end_of_cycle).
-  std::vector<char> seen(n_mod, 0);
-  for (std::uint32_t s : candidates_) {
-    for (Module* d : info_[s].drivers) seen[d->id()] = 1;
-  }
-  for (std::size_t id = 0; id < n_mod; ++id) {
-    if (gateable_[id] != 0) seen[id] = 1;
-  }
-  tracked_.clear();
-  for (Module* m : modules) {
-    if (seen[m->id()] != 0) tracked_.push_back(m);
-  }
-  sccs_of_.assign(n_mod, {});
-  for (std::uint32_t s : candidates_) {
-    for (Module* d : info_[s].drivers) sccs_of_[d->id()].push_back(s);
-  }
-}
-
-void QuiescenceGate::begin_cycle(Cycle cycle) {
-  if (!enabled_ || suspended_) return;
-  std::fill(slept_.begin(), slept_.end(), 0);
-  for (Module* m : tracked_) {
-    const ModuleId id = m->id();
-    bool armed = gateable_[id] != 0 && sleep_ok_[id] != 0;
-    if (armed) {
-      for (const std::uint32_t s : sccs_of_[id]) {
-        if (cycle < attempt_at_[s]) {
-          armed = false;
-          break;
-        }
-      }
-    }
-    asleep_[id].store(armed ? 1 : 0, std::memory_order_relaxed);
-  }
-}
-
-bool QuiescenceGate::boundary_unchanged(const SccInfo& si) const {
-  for (const Ch& b : si.boundary) {
-    Tristate cur = Tristate::Unknown;
-    if (b.kind == ChannelKind::Forward) {
-      if (b.conn->forward_known()) {
-        cur = b.conn->enabled() ? Tristate::Asserted : Tristate::Negated;
-      }
-    } else {
-      if (b.conn->ack_known()) {
-        cur = b.conn->acked() ? Tristate::Asserted : Tristate::Negated;
-      }
-    }
-    if (!known(cur) || cur != cached_sig_[b.id]) return false;
-    if (b.kind == ChannelKind::Forward && cur == Tristate::Asserted &&
-        !(b.conn->data() == cached_val_[b.id])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void QuiescenceGate::replay(const SccInfo& si) {
-  // Drive each member channel from the cache through the normal resolution
-  // paths so every hook fires — bit-identity on traces and counters follows
-  // because the values are exactly what re-running the drivers would
-  // produce (unchanged boundary + quiescent state).  Channels something
-  // already resolved (constants, a late-woken driver's cycle_start) are
-  // left alone; the cached value matches by the same argument.
-  for (const Ch& c : si.members) {
-    if (c.kind == ChannelKind::Forward) {
-      if (c.conn->forward_known()) continue;
-      if (cached_sig_[c.id] == Tristate::Asserted) {
-        c.conn->send(cached_val_[c.id]);
-      } else {
-        c.conn->idle();
-      }
-    } else {
-      if (c.conn->ack_known()) continue;
-      if (cached_sig_[c.id] == Tristate::Asserted) {
-        c.conn->ack();
-      } else {
-        c.conn->nack();
-      }
-    }
-  }
-}
-
-bool QuiescenceGate::try_sleep_slow(std::uint32_t scc, Cycle cycle,
-                                    std::vector<Module*>* woken) {
-  // enabled_/suspended_/candidate_ were already tested by the inline wrapper.
-  SccInfo& si = info_[scc];
-  const auto wake_drivers = [&] {
-    for (Module* d : si.drivers) {
-      if (asleep_[d->id()].exchange(0, std::memory_order_relaxed) != 0) {
-        d->cycle_start(cycle);  // deferred start now that it must run
-        if (woken != nullptr) woken->push_back(d);
-      }
-    }
-  };
-  if (cycle < attempt_at_[scc]) {
-    // Backed off after repeated failed attempts: skip the boundary compare
-    // (and refresh skips the snapshot) until the window expires.  Not a
-    // wake — begin_cycle never marks a backed-off SCC's drivers asleep, so
-    // there is nothing to undo.
-    return false;
-  }
-  bool ok = cache_valid_[scc] != 0;
-  if (ok) {
-    for (Module* d : si.drivers) {
-      if (sleep_ok_[d->id()] == 0) {
-        ok = false;
-        break;
-      }
-    }
-  }
-  if (ok) ok = boundary_unchanged(si);
-  if (!ok) {
-    wake_drivers();
-    ++scc_wakes_[scc];
-    backoff_[scc] = std::min<Cycle>(
-        backoff_[scc] == 0 ? 1 : backoff_[scc] * 2, kMaxBackoff);
-    attempt_at_[scc] = cycle + backoff_[scc];
-    cache_valid_[scc] = 0;  // goes stale while backed off
-    return false;
-  }
-  replay(si);
-  slept_[scc] = 1;
-  ++scc_sleeps_[scc];
-  backoff_[scc] = 0;
-  return true;
-}
-
-void QuiescenceGate::mark_transfers(
-    const std::vector<Connection*>& transferred, std::uint64_t token) {
-  if (!enabled_ || suspended_) return;
-  for (const Connection* c : transferred) {
-    eoc_stamp_[c->producer()->id()] = token;
-    eoc_stamp_[c->consumer()->id()] = token;
-  }
-}
-
-bool QuiescenceGate::skip_end_of_cycle_slow(const Module& m,
-                                            std::uint64_t token) {
-  const ModuleId id = m.id();
-  if (asleep_[id].load(std::memory_order_relaxed) == 0) return false;
-  if (eoc_stamp_[id] == token) return false;  // adjacent transfer: commit
-  ++eoc_skips_;
-  return true;
-}
-
-void QuiescenceGate::retire_scc(std::uint32_t scc) {
-  candidate_[scc] = 0;
-  cache_valid_[scc] = 0;
-  ++retired_sccs_;
-  // The drivers may no longer sleep: a non-candidate SCC is resolved
-  // normally, which needs their cycle_start drives.  Clearing gateable_ is
-  // conservative for drivers shared with surviving SCCs; that sharing is
-  // rare and correctness beats the lost skip.
-  for (Module* d : info_[scc].drivers) {
-    gateable_[d->id()] = 0;
-    asleep_[d->id()].store(0, std::memory_order_relaxed);
-  }
-}
-
-void QuiescenceGate::clear_asleep() noexcept {
-  for (std::size_t i = 0; i < sleep_ok_.size(); ++i) {
-    asleep_[i].store(0, std::memory_order_relaxed);
-  }
-}
-
-void QuiescenceGate::drop_caches() {
-  std::fill(sleep_ok_.begin(), sleep_ok_.end(), 0);
-  std::fill(cache_valid_.begin(), cache_valid_.end(), 0);
-  std::fill(slept_.begin(), slept_.end(), 0);
-  std::fill(attempt_at_.begin(), attempt_at_.end(), 0);
-  std::fill(backoff_.begin(), backoff_.end(), 0);
-  clear_asleep();
-}
-
-void QuiescenceGate::refresh(Cycle cycle) {
-  if (!enabled_) return;
-  if (calib_ != Calib::Done) {
-    const auto now = std::chrono::steady_clock::now();
-    if (!win_started_) {
-      win_started_ = true;
-      win_start_ = now;
-      win_end_ = cycle + kCalibPeriod;
-    } else if (cycle >= win_end_) {
-      const double secs = seconds_between(win_start_, now);
-      if (calib_ == Calib::GatedWindow) {
-        gated_seconds_ = secs;
-        // SCCs whose measured sleep ratio over the gated sample fell below
-        // 1/2 can never recoup their boundary-compare + replay + snapshot
-        // overhead; drop them before timing the ungated sample.
-        std::size_t remaining = 0;
-        for (std::uint32_t s : candidates_) {
-          if (candidate_[s] == 0) continue;
-          if (scc_sleeps_[s] * 2 < kCalibPeriod) {
-            retire_scc(s);
-          } else {
-            ++remaining;
-          }
-        }
-        if (remaining == 0) {
-          enabled_ = false;
-          clear_asleep();
-          return;
-        }
-        calib_ = Calib::UngatedWindow;
-        suspended_ = true;
-        clear_asleep();
-        win_start_ = now;
-        win_end_ = cycle + kCalibPeriod;
-        return;
-      }
-      // Ungated sample finished: keep the gate only when the gated window
-      // was measurably *faster* (at least a 2% win).  A marginal gate is
-      // dropped: its replay/snapshot machinery keeps costing every cycle
-      // for the rest of the run, while the calibration sample is short and
-      // noisy — the asymmetric risk says bail unless gating provably pays.
-      suspended_ = false;
-      calib_ = Calib::Done;
-      if (gated_seconds_ > secs * 0.98) {
-        enabled_ = false;
-        clear_asleep();
-        return;
-      }
-      // The suspended window left every cache and can_sleep sample stale;
-      // relearn from scratch and restart the audit clock.
-      drop_caches();
-      std::uint64_t total = 0;
-      for (std::uint32_t s : candidates_) {
-        if (candidate_[s] == 0) continue;
-        total += scc_sleeps_[s];
-        audit_scc_sleeps_[s] = scc_sleeps_[s];
-      }
-      sleeps_at_audit_ = total;
-      next_audit_ = cycle + kAuditPeriod;
-      zero_windows_ = 0;
-    }
-    if (suspended_) return;
-  }
-  if (calib_ == Calib::Done && cycle >= next_audit_) {
-    std::uint64_t total = 0;
-    std::size_t remaining = 0;
-    for (std::uint32_t s : candidates_) {
-      if (candidate_[s] == 0) continue;
-      total += scc_sleeps_[s];
-      // Ongoing per-SCC sleep-ratio guard: workloads change phase, and an
-      // SCC that stopped sleeping at least half the time is now a net
-      // loss.  Retirement is permanent (never-slower beats sometimes-
-      // faster for an optimization that must not regress).
-      if ((scc_sleeps_[s] - audit_scc_sleeps_[s]) * 2 < kAuditPeriod) {
-        retire_scc(s);
-      } else {
-        audit_scc_sleeps_[s] = scc_sleeps_[s];
-        ++remaining;
-      }
-    }
-    zero_windows_ = total == sleeps_at_audit_ ? zero_windows_ + 1 : 0;
-    sleeps_at_audit_ = total;
-    next_audit_ = cycle + kAuditPeriod;
-    if (zero_windows_ >= 2 || remaining == 0) {
-      // Nothing here ever sleeps — retire.  Counters remain reported (they
-      // read candidates_, not enabled_) and every asleep/candidate query
-      // now short-circuits on enabled_.
-      enabled_ = false;
-      clear_asleep();
-      return;
-    }
-  }
-  for (std::uint32_t s : candidates_) {
-    if (candidate_[s] == 0) continue;  // retired by the cost-model guard
-    if (slept_[s] != 0) continue;  // cache is already this cycle's values
-    // Backed-off SCCs re-snapshot on the cycle before their next attempt,
-    // restoring the invariant that a consulted cache is exactly one cycle
-    // old (the can_sleep() contract is a single-step promise).
-    if (cycle + 1 < attempt_at_[s]) continue;
-    SccInfo& si = info_[s];
-    const auto snap = [this](const Ch& c) {
-      if (c.kind == ChannelKind::Forward) {
-        const bool en = c.conn->enabled();
-        cached_sig_[c.id] = en ? Tristate::Asserted : Tristate::Negated;
-        cached_val_[c.id] = en ? c.conn->data() : Value();
-      } else {
-        cached_sig_[c.id] =
-            c.conn->acked() ? Tristate::Asserted : Tristate::Negated;
-      }
-    };
-    for (const Ch& c : si.members) snap(c);
-    for (const Ch& c : si.boundary) snap(c);
-    cache_valid_[s] = 1;
-  }
-  for (Module* m : tracked_) {
-    sleep_ok_[m->id()] = m->can_sleep() ? 1 : 0;
-  }
-}
-
-void QuiescenceGate::invalidate() {
-  if (!enabled_) return;
-  drop_caches();
-}
-
-void QuiescenceGate::visit_counters(const CounterVisitor& visit) const {
-  visit("opt.gated_sccs", candidates_.size());
-  std::uint64_t sleeps = 0;
-  std::uint64_t wakes = 0;
-  std::uint64_t replayed = 0;
-  for (std::uint32_t s : candidates_) {
-    sleeps += scc_sleeps_[s];
-    wakes += scc_wakes_[s];
-    replayed += scc_sleeps_[s] * info_[s].members.size();
-  }
-  visit("opt.scc_sleeps", sleeps);
-  visit("opt.scc_wakes", wakes);
-  visit("opt.replayed_resolutions", replayed);
-  visit("opt.eoc_skips", eoc_skips_);
-  visit("opt.retired_sccs", retired_sccs_);
-}
-
-// ---------------------------------------------------------------------------
 // SchedulerBase
 // ---------------------------------------------------------------------------
 
@@ -725,41 +269,29 @@ void SchedulerBase::recover_after_abort() noexcept {
     st.fwd_stamp = 0;
     st.bwd_stamp = 0;
   }
-  gate_.invalidate();
-  cycle_transferred_.clear();
-  cycle_resolutions_ = 0;
-  detail::t_resolve_ctx.transferred.clear();
 }
 
 void SchedulerBase::install_hooks(ResolveHooks* h) {
   for (const auto& c : netlist_.connections()) c->set_hooks(h);
 }
 
-std::uint64_t SchedulerBase::total_generation() const noexcept {
-  std::uint64_t sum = 0;
-  for (const Connection* c : conn_tape_) sum += c->generation();
-  return sum;
-}
-
 void SchedulerBase::default_forward(Connection& c) {
   if (c.forward_known()) return;
   c.idle();
   c.note_defaulted();
-  ++detail::t_resolve_ctx.defaults;
+  ++ctx_.defaults;
 }
 
 void SchedulerBase::default_backward(Connection& c) {
   if (c.ack_known()) return;
-  if (known(c.intent_.load(std::memory_order_relaxed))) return;
+  if (known(c.intent_)) return;
   c.nack();
   c.note_defaulted();
-  ++detail::t_resolve_ctx.defaults;
+  ++ctx_.defaults;
 }
 
 void SchedulerBase::apply_auto_accept(Connection& c) {
-  if (c.ack_known() || known(c.intent_.load(std::memory_order_relaxed))) {
-    return;
-  }
+  if (c.ack_known() || known(c.intent_)) return;
   if (c.enabled()) {
     c.ack();
   } else {
@@ -803,8 +335,8 @@ void SchedulerBase::run_chain(std::size_t idx) {
   const bool faulted = fault_ != nullptr;
   if (st.fwd_stamp != token && ch.links.front()->forward_known()) {
     // One pass down the chain resolves every member's output.  A link that
-    // is already resolved (constant, quiescence replay, or a member react
-    // from the cleanup endgame) is adopted as-is — its value was produced
+    // is already resolved (a constant, or a member react from the cleanup
+    // endgame) is adopted as-is — its value was produced
     // by the member's transform already, preserving exactly-once transform
     // invocation.
     bool en = ch.links.front()->enabled();
@@ -852,25 +384,6 @@ void SchedulerBase::run_chain(std::size_t idx) {
   }
 }
 
-void SchedulerBase::absorb(const detail::ResolveCtx& delta) {
-  cycle_resolutions_ += delta.resolutions;
-  react_calls_ += delta.reacts;
-  defaults_ += delta.defaults;
-  cycle_transferred_.insert(cycle_transferred_.end(),
-                            delta.transferred.begin(),
-                            delta.transferred.end());
-}
-
-void SchedulerBase::flush_profile(detail::ResolveCtx& ctx) {
-  if (probe_ == nullptr) return;
-  const std::size_t n =
-      std::min(ctx.mod_reacts.size(), module_tape_.size());
-  if (n == 0) return;
-  probe_->on_module_batch(ctx.mod_reacts.data(), ctx.mod_seconds.data(), n);
-  std::fill(ctx.mod_reacts.begin(), ctx.mod_reacts.begin() + n, 0);
-  std::fill(ctx.mod_seconds.begin(), ctx.mod_seconds.begin() + n, 0.0);
-}
-
 void SchedulerBase::visit_counters(const CounterVisitor& visit) const {
   visit("cycles_run", cycles_run_);
   visit("react_calls", react_calls_);
@@ -891,7 +404,6 @@ void SchedulerBase::visit_counters(const CounterVisitor& visit) const {
     }
     visit("opt.fwd_sweeps", fwd_sweeps);
     visit("opt.bwd_sweeps", bwd_sweeps);
-    gate_.visit_counters(visit);
   }
 }
 
@@ -915,7 +427,7 @@ void SchedulerBase::verify_resolved(Cycle cycle) const {
   // diagnostic) runs only in checked builds or when the aggregate is off
   // (e.g. a channel was driven outside run_cycle).
   const std::uint64_t expected = 2 * conn_tape_.size();
-  if (cycle_resolutions_ == expected && !kChecked) return;
+  if (ctx_.resolutions == expected && !kChecked) return;
   for (const Connection* c : conn_tape_) {
     if (!c->fully_resolved()) {
       throw liberty::SimulationError("internal: unresolved connection " +
@@ -931,24 +443,21 @@ void SchedulerBase::run_cycle(Cycle cycle) {
   // run, so a throwing hook (injected handler fault) aborts at a
   // scheduler-invariant, recovery-friendly point.
   if (fault_ != nullptr) fault_->begin_cycle(cycle);
-  detail::ResolveCtx& ctx = detail::t_resolve_ctx;
-  const std::uint64_t r0 = ctx.resolutions;
-  const std::uint64_t k0 = ctx.reacts;
-  const std::uint64_t d0 = ctx.defaults;
-  ctx.transferred.clear();
-  cycle_resolutions_ = 0;
-  cycle_transferred_.clear();
-
   // Observability: with a probe installed the cycle is timed phase by
   // phase and react() calls are attributed per module; with none, the
-  // whole block below is a single null check per phase boundary.
+  // whole block below is a single null check per phase boundary.  The
+  // context is reset in full, so a cycle that aborted with a probe
+  // installed never leaves a stale probe behind for the next one.
   KernelProbe* const probe = probe_;
+  ctx_.resolutions = 0;
+  ctx_.reacts = 0;
+  ctx_.defaults = 0;
+  ctx_.transferred.clear();
+  ctx_.timing = probe;
   using clock = std::chrono::steady_clock;
   clock::time_point mark;
   if (probe != nullptr) {
     probe->on_cycle_begin(cycle);
-    ctx.size_profile(module_tape_.size());
-    ctx.timing = true;
     mark = clock::now();
   }
   const auto end_phase = [&](SchedPhase p) {
@@ -957,26 +466,14 @@ void SchedulerBase::run_cycle(Cycle cycle) {
     mark = now;
   };
 
-  const bool opt = plan_ != nullptr;
-  if (opt) {
-    gate_.begin_cycle(cycle);
-    apply_consts();
-  }
+  if (plan_ != nullptr) apply_consts();
 
   start_phase();
   if (probe != nullptr) end_phase(SchedPhase::CycleStart);
 
   resolve_cycle();
-
-  {
-    detail::ResolveCtx delta;
-    delta.resolutions = ctx.resolutions - r0;
-    delta.reacts = ctx.reacts - k0;
-    delta.defaults = ctx.defaults - d0;
-    delta.transferred = std::move(ctx.transferred);
-    ctx.transferred.clear();
-    absorb(delta);
-  }
+  react_calls_ += ctx_.reacts;
+  defaults_ += ctx_.defaults;
 
   verify_resolved(cycle);
   // Invariant window: everything resolved, nothing committed.  A probe
@@ -987,42 +484,29 @@ void SchedulerBase::run_cycle(Cycle cycle) {
     end_phase(SchedPhase::Resolve);
   }
 
-  // Transfers force end_of_cycle on their endpoint modules even when
-  // asleep: a transfer commits state wherever it lands.  The dirty list is
-  // pre-dedup here; duplicate marks are harmless.
-  const std::uint64_t eoc_token = cycles_run_ + 1;
-  if (opt) gate_.mark_transfers(cycle_transferred_, eoc_token);
-  update_phase(eoc_token);
+  update_phase();
   if (probe != nullptr) end_phase(SchedPhase::Update);
 
   // Commit transfers from the dirty list in canonical (connection id) order
-  // so observer streams are identical across schedulers; concurrent forward/
-  // backward resolution may record a transfer twice, hence the unique().
-  std::vector<Connection*>& dirty = cycle_transferred_;
+  // so observer streams are identical across schedulers.
+  std::vector<Connection*>& dirty = ctx_.transferred;
   std::sort(dirty.begin(), dirty.end(),
             [](const Connection* a, const Connection* b) {
               return a->id() < b->id();
             });
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
   for (Connection* c : dirty) {
     c->note_transfer();
     for (const auto& obs : observers_) obs(*c, cycle);
   }
 
-  // Snapshot this cycle's channel values and module quiescence for next
-  // cycle's gating decisions, before the channels are wiped.
-  if (opt) gate_.refresh(cycle);
-
   for (Connection* c : conn_tape_) c->reset_channels();
 
-  total_resolutions_ += cycle_resolutions_;
+  total_resolutions_ += ctx_.resolutions;
   transfers_committed_ += dirty.size();
   ++cycles_run_;
 
   if (probe != nullptr) {
     end_phase(SchedPhase::Commit);
-    flush_profile(ctx);
-    ctx.timing = false;
     probe->on_cycle_end(cycle);
   }
 }
@@ -1033,28 +517,18 @@ void SchedulerBase::start_phase() {
   for (Module* m : module_tape_) {
     m->now_ = cycle;
     if (any_quarantined_ && quarantined_[m->id()] != 0) continue;
-    if (opt && (plan_->elided[m->id()] != 0 ||
-                gate_.module_asleep(m->id()))) {
-      continue;  // elided: dead logic; asleep: deferred (or replayed) start
-    }
+    if (opt && plan_->elided[m->id()] != 0) continue;  // dead logic
     m->cycle_start(cycle);
   }
 }
 
-void SchedulerBase::update_phase(std::uint64_t eoc_token) {
+void SchedulerBase::update_phase() {
   const bool opt = plan_ != nullptr;
   for (Module* m : module_tape_) {
     if (any_quarantined_ && quarantined_[m->id()] != 0) continue;
-    if (opt && (plan_->elided[m->id()] != 0 ||
-                gate_.skip_end_of_cycle(*m, eoc_token))) {
-      continue;
-    }
+    if (opt && plan_->elided[m->id()] != 0) continue;
     m->end_of_cycle();
   }
-}
-
-void SchedulerBase::set_relaxed_resolution(bool relaxed) noexcept {
-  for (Connection* c : conn_tape_) c->set_relaxed(relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -1068,14 +542,6 @@ DynamicScheduler::DynamicScheduler(Netlist& netlist) : SchedulerBase(netlist) {
   ring_.resize(cap);
   mask_ = cap - 1;
   queued_stamp_.assign(n, 0);
-  if (plan_ != nullptr && plan_->gating) {
-    // The dynamic scheduler has no schedule graph of its own; build one
-    // just to derive the gate's candidate SCCs and boundary sets (the
-    // graph itself is not retained).
-    ScheduleGraph graph;
-    graph.build(netlist);
-    gate_.build(graph, *plan_, module_tape_);
-  }
 }
 
 void DynamicScheduler::enqueue(Module* m) {
@@ -1088,9 +554,8 @@ void DynamicScheduler::enqueue(Module* m) {
         "construction — rebuild the simulator after adding modules");
   }
   if (any_quarantined_ && quarantined_[id] != 0) return;
-  if (plan_ != nullptr &&
-      (plan_->elided[id] != 0 || gate_.module_asleep(id))) {
-    return;  // never activate dead or sleeping modules
+  if (plan_ != nullptr && plan_->elided[id] != 0) {
+    return;  // never activate dead modules
   }
   if (queued_stamp_[id] == epoch_) return;
   queued_stamp_[id] = epoch_;
@@ -1167,19 +632,6 @@ void DynamicScheduler::on_backward_resolved(Connection& c) {
 
 void DynamicScheduler::resolve_cycle() {
   cycle_pops_ = 0;
-  // Quiescence-gating decision phase, in topological order.  This runs
-  // after the cycle_start loop, so state-only drives of awake producers
-  // (e.g. an exhausted Source idling) are already resolved and upstream
-  // boundaries are decidable; boundaries that resolve only through later
-  // reacts conservatively wake their SCCs.  Replays fire the resolution
-  // hooks, which enqueue awake downstream consumers as usual.
-  if (gate_.enabled()) {
-    woken_scratch_.clear();
-    for (const std::uint32_t s : gate_.candidates()) {
-      gate_.try_sleep(s, cycle_, &woken_scratch_);
-    }
-    for (Module* m : woken_scratch_) enqueue(m);
-  }
   // Every module reacts at least once per cycle so that purely combinational
   // modules run even when none of their inputs produced an event (e.g. all
   // inputs unconnected, reading port defaults).
@@ -1262,10 +714,6 @@ AnalyzedScheduler::AnalyzedScheduler(Netlist& netlist)
                 return a < b;
               });
   }
-
-  if (plan_ != nullptr && plan_->gating) {
-    gate_.build(graph_, *plan_, module_tape_);
-  }
 }
 
 bool AnalyzedScheduler::node_resolved(ChannelId id) const {
@@ -1310,10 +758,9 @@ void AnalyzedScheduler::run_scc(std::size_t scc_index) {
   const std::vector<ChannelId>& group = graph_.sccs()[scc_index];
   const std::vector<Module*>& drivers = scc_drivers_[scc_index];
   const std::vector<ChannelId>& order = scc_order_[scc_index];
-  // Progress is detected through the thread-local resolution counter (every
-  // resolution this thread causes is observed by the hooks), replacing the
-  // old O(group) generation polling per pass with an O(1) check.
-  const std::uint64_t* resolutions = &detail::t_resolve_ctx.resolutions;
+  // Progress is detected through the resolution counter (every resolution
+  // is observed by the hooks): an O(1) check per pass.
+  const std::uint64_t* resolutions = &ctx_.resolutions;
   std::uint64_t passes = 0;
 
   while (true) {
@@ -1390,7 +837,7 @@ void AnalyzedScheduler::cleanup_unresolved() {
   // gated ack whose intent was pending on a forward in a later SCC).
   // Mirrors the dynamic scheduler's quiesce-then-default loop globally.
   const std::size_t n_nodes = graph_.nodes().size();
-  const std::uint64_t* resolutions = &detail::t_resolve_ctx.resolutions;
+  const std::uint64_t* resolutions = &ctx_.resolutions;
   const std::uint64_t activation_limit =
       iter_cap_ == 0 ? 0 : iter_cap_ * (n_nodes + 1);
   std::uint64_t activations = 0;
@@ -1437,12 +884,7 @@ StaticScheduler::StaticScheduler(Netlist& netlist)
 
 void StaticScheduler::resolve_cycle() {
   const auto& sccs = graph_.sccs();
-  const bool gating = gate_.enabled();
   for (std::size_t i = 0; i < sccs.size(); ++i) {
-    if (gating &&
-        gate_.try_sleep(static_cast<std::uint32_t>(i), cycle_)) {
-      continue;  // replayed from cache
-    }
     if (sccs[i].size() == 1 && !graph_.self_loop(i)) {
       execute_node(sccs[i][0]);
     } else {

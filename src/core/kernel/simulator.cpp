@@ -10,12 +10,11 @@ namespace liberty::core {
 SchedulerKind scheduler_kind_from_name(std::string_view name) {
   if (name == "dyn" || name == "dynamic") return SchedulerKind::Dynamic;
   if (name == "static") return SchedulerKind::Static;
-  if (name == "par" || name == "parallel") return SchedulerKind::Parallel;
   if (name == "comp" || name == "compiled") return SchedulerKind::Compiled;
   if (name == "native") return SchedulerKind::Native;
   throw liberty::ElaborationError(
       "unknown scheduler kind '" + std::string(name) +
-      "' (valid: dyn|dynamic, static, par|parallel, comp|compiled, native)");
+      "' (valid: dyn|dynamic, static, comp|compiled, native)");
 }
 
 namespace {
@@ -39,7 +38,7 @@ NativeSchedulerFactory native_scheduler_factory() {
   return g_native_factory;
 }
 
-Simulator::Simulator(Netlist& netlist, SchedulerKind kind, unsigned threads)
+Simulator::Simulator(Netlist& netlist, SchedulerKind kind)
     : netlist_(netlist) {
   switch (kind) {
     case SchedulerKind::Dynamic:
@@ -47,9 +46,6 @@ Simulator::Simulator(Netlist& netlist, SchedulerKind kind, unsigned threads)
       break;
     case SchedulerKind::Static:
       sched_ = std::make_unique<StaticScheduler>(netlist);
-      break;
-    case SchedulerKind::Parallel:
-      sched_ = std::make_unique<ParallelScheduler>(netlist, threads);
       break;
     case SchedulerKind::Compiled:
       if (g_compiled_factory == nullptr) {
@@ -124,12 +120,10 @@ void Simulator::restore(const KernelSnapshot& snap) {
   }
   now_ = snap.cycle;
   netlist_.set_stop(snap.stop_requested);
-  // Reset every piece of in-flight kernel state: the quiescence gate's
-  // caches, backoff and asleep flags describe the pre-restore trajectory,
-  // and if the last cycle aborted mid-resolve (watchdog violation,
-  // injected fault) the channels and fused-chain sweep stamps are dirty.
-  // recover_after_abort() wipes all of it; between clean cycles it is a
-  // no-op re-initialization.
+  // Reset in-flight kernel state: if the last cycle aborted mid-resolve
+  // (watchdog violation, injected fault) the channels and fused-chain
+  // sweep stamps are dirty.  recover_after_abort() wipes both; between
+  // clean cycles it is a no-op re-initialization.
   scheduler().recover_after_abort();
   // The module objects now hold the restored state; a backend with
   // out-of-object module state (native codegen) reloads its images from

@@ -20,9 +20,7 @@
 // OptPlan facts are baked in at emit time: constant channels emit nothing
 // (SchedulerBase::apply_consts pre-resolves them), elided modules emit
 // nothing anywhere, fused chains emit one Chain instruction per covered
-// channel (the sweep is cycle-stamped, so repeats are cheap), and candidate
-// SCCs of the quiescence gate are guarded by a TrySleep instruction that
-// jumps over the SCC's instructions when the cached result is replayed.
+// channel (the sweep is cycle-stamped, so repeats are cheap).
 #pragma once
 
 #include <cstdint>
@@ -47,9 +45,6 @@ namespace liberty::gen {
 
 /// Opcodes.  Operand conventions (see struct Instr):
 ///   Start<K>, StartVirtual        a = module id
-///   StartGated                    a = module id (asleep check, then virtual)
-///   TrySleep                      a = SCC index, b = instructions to skip
-///                                     when the SCC replays from cache
 ///   RunScc                        a = SCC index (multi-node/self-loop SCCs
 ///                                     iterate via AnalyzedScheduler::run_scc)
 ///   Chain                         a = chain index, b = channel id (fused
@@ -59,15 +54,12 @@ namespace liberty::gen {
 ///   Fwd<K> / Bwd<K>, *Virtual     a = module id, b = connection id
 ///                                     (react-then-default, devirtualized)
 ///   End<K>, EndVirtual            a = module id
-///   EndGated                      a = module id (skip_end_of_cycle check)
 ///   Halt                          end of tape
 enum class Op : std::uint8_t {
 #define LIBERTY_GEN_OP(K) Start##K,
   LIBERTY_GEN_START_KINDS(LIBERTY_GEN_OP)
 #undef LIBERTY_GEN_OP
-  StartGated,
   StartVirtual,
-  TrySleep,
   RunScc,
   Chain,
   AutoAck,
@@ -84,7 +76,6 @@ enum class Op : std::uint8_t {
 #define LIBERTY_GEN_OP(K) End##K,
   LIBERTY_GEN_COMMIT_KINDS(LIBERTY_GEN_OP)
 #undef LIBERTY_GEN_OP
-  EndGated,
   EndVirtual,
   Halt,
 };

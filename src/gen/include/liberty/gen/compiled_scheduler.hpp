@@ -4,17 +4,15 @@
 // bytecode.hpp once at construction and thereafter runs each cycle by
 // executing the three tapes.  It derives from AnalyzedScheduler so the
 // schedule graph, SCC fixed-point iteration (run_scc), fused-chain sweeps,
-// quiescence gate, fault seams and the generic cleanup endgame are shared
-// with the static/parallel schedulers — the tapes replace only the per-cycle
+// fault seams and the generic cleanup endgame are shared with the static
+// scheduler — the tapes replace only the per-cycle
 // interpretation of that structure (virtual hook dispatch, per-node driver
 // lookups, plan-fact branches), which is where the steady-state time goes.
 //
 // Semantics: the resolve tape mirrors StaticScheduler::resolve_cycle exactly
 // (same SCC order, same react-then-default policy per node, same cleanup),
 // so the compiled scheduler inherits the static scheduler's bit-identity
-// with the dynamic baseline.  Because exactly one thread touches the
-// channels, the constructor also switches the netlist's connections to
-// relaxed channel publication (restored on destruction).
+// with the dynamic baseline.
 #pragma once
 
 #include <string>
@@ -30,7 +28,6 @@ namespace liberty::gen {
 class CompiledScheduler : public liberty::core::AnalyzedScheduler {
  public:
   explicit CompiledScheduler(liberty::core::Netlist& netlist);
-  ~CompiledScheduler() override;
 
   [[nodiscard]] std::string_view kind_name() const override {
     return "compiled";
@@ -47,13 +44,12 @@ class CompiledScheduler : public liberty::core::AnalyzedScheduler {
  protected:
   void start_phase() override;
   void resolve_cycle() override;
-  void update_phase(std::uint64_t eoc_token) override;
+  void update_phase() override;
 
   void lower();
   void exec(const std::vector<Instr>& tape);
 
   Program program_;
-  std::uint64_t eoc_token_ = 0;  // latched for the commit tape's EndGated
 
   // Exclusion masks consulted by lower(): modules (by ModuleId) and SCCs
   // (by schedule-graph SCC index) a derived backend executes itself, so
@@ -64,21 +60,11 @@ class CompiledScheduler : public liberty::core::AnalyzedScheduler {
   std::vector<char> native_module_;
   std::vector<char> native_scc_;
 
-  // True when the current tapes carry gate forms (TrySleep / StartGated /
-  // EndGated).  When the gate's measured cost-model guard later turns the
-  // whole gate off, those forms become dead weight on every remaining
-  // cycle, so start_phase re-lowers once against the now-disabled gate —
-  // recompiling is how a compiled backend reacts to changed facts.
-  // (Per-SCC retirement with the gate still alive does NOT re-lower: a
-  // retired SCC's TrySleep degrades to one inline test, and surviving
-  // SCCs still need their guards.)
-  bool gated_program_ = false;
-
   // True when the resolve tape provably resolves every channel on its own
   // (no RunScc ops: multi-node SCC fixed points are the one construct whose
   // convergence loop needs the per-resolution hook counter).  In that mode
   // the constructor uninstalls the ResolveHooks — dropping a virtual call
-  // plus thread-local bookkeeping from every channel resolution — and
+  // plus the bookkeeping from every channel resolution — and
   // resolve_cycle reconstructs the counters and the transferred dirty list
   // in one flat sweep after the tape halts, skipping the generic cleanup
   // endgame as well.  The checked-kernel audit still verifies full

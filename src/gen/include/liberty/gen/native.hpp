@@ -1,4 +1,4 @@
-// liberty::gen — true native codegen (the fifth scheduler).
+// liberty::gen — true native codegen (the fourth scheduler).
 //
 // Where CompiledScheduler lowers the netlist to bytecode and interprets
 // it, NativeScheduler emits one specialized C++ translation unit for the
@@ -6,8 +6,8 @@
 // dlopens the result, and executes the eligible part of the netlist as
 // straight machine code over POD state — no Value variants, no deques, no
 // virtual dispatch, no per-channel objects on the fast path.  Everything
-// the emitter has no recipe for (user subclasses, gated or multi-node
-// SCCs, fanout topologies) stays on the bytecode tapes of the base class,
+// the emitter has no recipe for (user subclasses, transfer-gated or
+// multi-node SCCs, fanout topologies) stays on the bytecode tapes of the base class,
 // in the same run, so any netlist still executes and the two halves stay
 // bit-identical with the dynamic reference.
 //
@@ -90,7 +90,7 @@ void export_native_metrics(obs::MetricsRegistry& reg);
 /// so front ends need nothing new.
 void register_native_scheduler();
 
-/// The fifth scheduler.  Defined only in LIBERTY_NATIVE_CODEGEN builds;
+/// The fourth scheduler.  Defined only in LIBERTY_NATIVE_CODEGEN builds;
 /// construct through Simulator(..., SchedulerKind::Native) or directly
 /// when a test needs the introspection surface below.
 class NativeScheduler final : public CompiledScheduler {
@@ -120,7 +120,7 @@ class NativeScheduler final : public CompiledScheduler {
  protected:
   void start_phase() override;
   void resolve_cycle() override;
-  void update_phase(std::uint64_t eoc_token) override;
+  void update_phase() override;
 
  private:
   struct Impl;

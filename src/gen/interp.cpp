@@ -5,7 +5,7 @@
 // jumping straight to it, so the dispatch branch is distributed across the
 // opcode bodies (one indirect jump each, separately predicted) instead of
 // funneling through a single switch at the loop head.  Elsewhere the same
-// bodies compile as a conventional switch loop; VM_CASE/VM_NEXT/VM_JUMP
+// bodies compile as a conventional switch loop; VM_CASE/VM_NEXT
 // abstract the difference so there is exactly one definition per opcode.
 //
 // The devirtualized bodies call hooks as static_cast<T&>(m).T::hook() —
@@ -25,11 +25,10 @@ namespace {
 // quarantined driver) and the virtual dispatch.  The profiling lane must
 // stay virtual — timed_react attributes by module, not by static type.
 template <typename T>
-inline void react_as(core::Module& m) {
-  core::detail::ResolveCtx& ctx = core::detail::t_resolve_ctx;
+inline void react_as(core::Module& m, core::detail::ResolveCtx& ctx) {
   ++ctx.reacts;
-  if (ctx.timing) {
-    core::detail::timed_react(m, ctx);
+  if (ctx.timing != nullptr) {
+    core::detail::timed_react(m, *ctx.timing);
   } else {
     static_cast<T&>(m).T::react();
   }
@@ -38,18 +37,9 @@ inline void react_as(core::Module& m) {
 }  // namespace
 
 void CompiledScheduler::start_phase() {
-  if (gated_program_ && !gate_.enabled()) {
-    // The measured cost-model guard turned the quiescence gate off for
-    // good (it never re-enables), leaving every TrySleep/StartGated/
-    // EndGated in the tapes as a per-cycle tax with no possible payoff.
-    // Recompile against the dead gate: lower() now emits the unguarded
-    // forms, and this branch never fires again (gated_program_ is reset).
-    lower();
-  }
   // The base loop stamps now_ on every module, including ones whose hooks
-  // are skipped this cycle (quarantined, elided, asleep): any hook that
-  // does run later — a deferred wake's cycle_start, a transfer-forced
-  // end_of_cycle — must observe the current cycle.
+  // are skipped (quarantined, elided, absent from the start tape): react
+  // and end_of_cycle must still observe the current cycle.
   const core::Cycle cycle = cycle_;
   for (core::Module* m : module_tape_) set_now(*m, cycle);
   exec(program_.start);
@@ -59,27 +49,22 @@ void CompiledScheduler::resolve_cycle() {
   exec(program_.resolve);
   if (!fast_resolve_) {
     // Same endgame as the static scheduler: anything the schedule could not
-    // attribute (or a mid-cycle wake left unresolved) quiesces to defaults.
+    // attribute quiesces to defaults.
     cleanup_unresolved();
     return;
   }
   // Hooks are uninstalled (fast_resolve_): every channel resolved exactly
-  // once — pre-resolved constants, tape ops, gate replays and pending-ack
-  // drains included — so the counter is a constant and the transferred
-  // dirty list falls out of one flat state sweep.  run_cycle absorbs the
-  // context right after this returns; verify_resolved still audits the
+  // once — pre-resolved constants, tape ops and pending-ack drains
+  // included — so the counter is a constant and the transferred dirty list
+  // falls out of one flat state sweep.  verify_resolved still audits the
   // everything-resolved claim in checked builds.
-  core::detail::ResolveCtx& ctx = core::detail::t_resolve_ctx;
-  ctx.resolutions += 2 * static_cast<std::uint64_t>(conn_tape_.size());
+  ctx_.resolutions += 2 * static_cast<std::uint64_t>(conn_tape_.size());
   for (core::Connection* c : conn_tape_) {
-    if (c->transferred()) ctx.transferred.push_back(c);
+    if (c->transferred()) ctx_.transferred.push_back(c);
   }
 }
 
-void CompiledScheduler::update_phase(std::uint64_t eoc_token) {
-  eoc_token_ = eoc_token;
-  exec(program_.commit);
-}
+void CompiledScheduler::update_phase() { exec(program_.commit); }
 
 void CompiledScheduler::exec(const std::vector<Instr>& tape) {
   core::Module* const* const mods = module_tape_.data();
@@ -94,20 +79,13 @@ void CompiledScheduler::exec(const std::vector<Instr>& tape) {
     ++pc;                                                        \
     goto* kDispatch[static_cast<std::size_t>(pc->op)];           \
   } while (0)
-#define VM_JUMP(n)                                               \
-  do {                                                           \
-    pc += (n);                                                   \
-    goto* kDispatch[static_cast<std::size_t>(pc->op)];           \
-  } while (0)
 #define VM_END()
   // Label table, in exact Op enum order (the X-macro lists keep it so).
   static const void* const kDispatch[] = {
 #define VM_ADDR(K) &&vm_Start##K,
       LIBERTY_GEN_START_KINDS(VM_ADDR)
 #undef VM_ADDR
-      &&vm_StartGated,
       &&vm_StartVirtual,
-      &&vm_TrySleep,
       &&vm_RunScc,
       &&vm_Chain,
       &&vm_AutoAck,
@@ -124,7 +102,6 @@ void CompiledScheduler::exec(const std::vector<Instr>& tape) {
 #define VM_ADDR(K) &&vm_End##K,
       LIBERTY_GEN_COMMIT_KINDS(VM_ADDR)
 #undef VM_ADDR
-      &&vm_EndGated,
       &&vm_EndVirtual,
       &&vm_Halt,
   };
@@ -134,11 +111,6 @@ void CompiledScheduler::exec(const std::vector<Instr>& tape) {
 #define VM_NEXT()  \
   do {             \
     ++pc;          \
-    goto vm_loop;  \
-  } while (0)
-#define VM_JUMP(n) \
-  do {             \
-    pc += (n);     \
     goto vm_loop;  \
   } while (0)
 #define VM_END() }
@@ -156,22 +128,10 @@ vm_loop:
   LIBERTY_GEN_START_KINDS(VM_START_OP)
 #undef VM_START_OP
 
-  VM_CASE(StartGated) {
-    core::Module& m = *mods[pc->a];
-    if (!gate_.module_asleep(m.id())) m.cycle_start(cycle);
-  }
-  VM_NEXT();
-
   VM_CASE(StartVirtual) { mods[pc->a]->cycle_start(cycle); }
   VM_NEXT();
 
   // ---- resolve phase ----------------------------------------------------
-  VM_CASE(TrySleep) {
-    // Replayed from cache: the next pc->b instructions are this SCC's.
-    if (gate_.try_sleep(pc->a, cycle)) VM_JUMP(pc->b + 1);
-  }
-  VM_NEXT();
-
   VM_CASE(RunScc) { run_scc(pc->a); }
   VM_NEXT();
 
@@ -199,7 +159,7 @@ vm_loop:
   VM_CASE(Fwd##K) {                                              \
     core::Connection& c = *conns[pc->b];                         \
     if (!c.forward_known()) {                                    \
-      react_as<LIBERTY_GEN_TYPE(K)>(*mods[pc->a]);               \
+      react_as<LIBERTY_GEN_TYPE(K)>(*mods[pc->a], ctx_);        \
       if (!c.forward_known()) default_forward(c);                \
     }                                                            \
   }                                                              \
@@ -220,7 +180,7 @@ vm_loop:
   VM_CASE(Bwd##K) {                                              \
     core::Connection& c = *conns[pc->b];                         \
     if (!c.ack_known()) {                                        \
-      react_as<LIBERTY_GEN_TYPE(K)>(*mods[pc->a]);               \
+      react_as<LIBERTY_GEN_TYPE(K)>(*mods[pc->a], ctx_);        \
       if (!c.ack_known()) default_backward(c);                   \
     }                                                            \
   }                                                              \
@@ -247,12 +207,6 @@ vm_loop:
   LIBERTY_GEN_COMMIT_KINDS(VM_END_OP)
 #undef VM_END_OP
 
-  VM_CASE(EndGated) {
-    core::Module& m = *mods[pc->a];
-    if (!gate_.skip_end_of_cycle(m, eoc_token_)) m.end_of_cycle();
-  }
-  VM_NEXT();
-
   VM_CASE(EndVirtual) { mods[pc->a]->end_of_cycle(); }
   VM_NEXT();
 
@@ -262,7 +216,6 @@ vm_loop:
 
 #undef VM_CASE
 #undef VM_NEXT
-#undef VM_JUMP
 #undef VM_END
 }
 

@@ -3,7 +3,7 @@
 // The emitted program is a specialization of the static scheduler's cycle
 // loop for one concrete netlist: every per-cycle decision that depends only
 // on elaboration-time facts (module kind, driver identity, plan constants,
-// chain membership, gate candidacy, quarantine) is resolved here, once, and
+// chain membership, quarantine) is resolved here, once, and
 // the interpreter executes the residue.  The resolve tape preserves the
 // static scheduler's topological SCC order and its react-then-default
 // policy per channel, which is what makes the backend bit-identical to the
@@ -26,23 +26,15 @@ namespace core = liberty::core;
 CompiledScheduler::CompiledScheduler(core::Netlist& netlist)
     : AnalyzedScheduler(netlist) {
   lower();
-  // Exactly one thread resolves channels under this backend, so the
-  // seq_cst publication fences in Connection buy nothing.  The destructor
-  // restores the default in case the netlist outlives this scheduler and
-  // is re-simulated with a parallel one.
-  set_relaxed_resolution(true);
   // Without RunScc ops every remaining opcode decides purely on channel
   // state, so the per-resolution hooks carry no information the end-of-
   // resolve sweep cannot recover; uninstalling them removes a virtual call
-  // and a thread-local touch from every send/ack (see fast_resolve_).
+  // and the bookkeeping from every send/ack (see fast_resolve_).
   if (fast_resolve_) install_hooks(nullptr);
 }
 
-CompiledScheduler::~CompiledScheduler() { set_relaxed_resolution(false); }
-
 void CompiledScheduler::lower() {
-  program_ = Program{};  // re-entrant: start_phase re-lowers on gate death
-  gated_program_ = gate_.enabled();
+  program_ = Program{};  // re-entrant: the native backend re-lowers
   const bool opt = plan_ != nullptr;
 
   // typeid once per module, here, instead of per hook call, per cycle.
@@ -66,12 +58,7 @@ void CompiledScheduler::lower() {
     const Kind k = kinds[m->id()];
     Op op = Op::StartVirtual;
     if (k != Kind::Unknown && !start_op(k, op)) continue;  // no-op hook
-    if (gate_.module_gateable(m->id())) {
-      // May be asleep at cycle start; the check and the deferred-wake
-      // protocol need the generic path.
-      program_.start.push_back({Op::StartGated, id, 0});
-      ++program_.virtual_ops;
-    } else if (k == Kind::Unknown) {
+    if (k == Kind::Unknown) {
       program_.start.push_back({Op::StartVirtual, id, 0});
       ++program_.virtual_ops;
     } else {
@@ -144,21 +131,10 @@ void CompiledScheduler::lower() {
 
   for (std::uint32_t i = 0; i < sccs.size(); ++i) {
     if (!native_scc_.empty() && native_scc_[i] != 0) continue;
-    std::size_t guard = program_.resolve.size();
-    bool guarded = false;
-    if (gate_.is_candidate(i)) {
-      guarded = true;
-      program_.resolve.push_back({Op::TrySleep, i, 0});
-    }
-    const std::size_t body = program_.resolve.size();
     if (sccs[i].size() == 1 && !graph_.self_loop(i)) {
       emit_channel(sccs[i][0]);
     } else {
       program_.resolve.push_back({Op::RunScc, i, 0});
-    }
-    if (guarded) {
-      program_.resolve[guard].b =
-          static_cast<std::uint32_t>(program_.resolve.size() - body);
     }
   }
   program_.resolve.push_back({Op::Halt, 0, 0});
@@ -180,12 +156,7 @@ void CompiledScheduler::lower() {
     const Kind k = kinds[m->id()];
     Op op = Op::EndVirtual;
     if (k != Kind::Unknown && !end_op(k, op)) continue;  // no-op hook
-    if (gate_.module_gateable(m->id())) {
-      // Asleep modules skip commit unless one of their connections
-      // transferred this cycle; only gateable modules can be asleep.
-      program_.commit.push_back({Op::EndGated, id, 0});
-      ++program_.virtual_ops;
-    } else if (k == Kind::Unknown) {
+    if (k == Kind::Unknown) {
       program_.commit.push_back({Op::EndVirtual, id, 0});
       ++program_.virtual_ops;
     } else {

@@ -228,18 +228,17 @@ void NativeScheduler::resolve_cycle() {
   if (!mirror) {
     // The fast sweep above accounted 2 resolutions for every connection
     // but saw no state for the native ones; feed their completed
-    // transfers into the dirty list by hand (quiescence-gate food).
-    core::detail::ResolveCtx& ctx = core::detail::t_resolve_ctx;
+    // transfers into the dirty list by hand.
     for (std::size_t i = 0; i < impl_->plan.channels.size(); ++i) {
       if (ch[i].en != 0 && ch[i].ack != 0) {
-        ctx.transferred.push_back(impl_->plan.channels[i]);
+        ctx_.transferred.push_back(impl_->plan.channels[i]);
       }
     }
   }
 }
 
-void NativeScheduler::update_phase(std::uint64_t eoc_token) {
-  CompiledScheduler::update_phase(eoc_token);
+void NativeScheduler::update_phase() {
+  CompiledScheduler::update_phase();
   if (impl_->active) impl_->img.commit(impl_->image, cycle_);
 }
 

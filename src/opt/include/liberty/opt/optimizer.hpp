@@ -7,7 +7,7 @@
 // netlist against the facts modules declare (Module::declare_opt), and
 // attaches an annotation plan (core::OptPlan) the schedulers consume.  The
 // netlist itself is never mutated — every connection still resolves every
-// cycle with its -O0 value, which is what keeps all three schedulers
+// cycle with its -O0 value, which is what keeps every scheduler
 // bit-identical on transfer traces, state digests and stats (proved by the
 // liberty_testing oracle and the fuzz sweep).
 //
@@ -27,13 +27,9 @@
 //              pass-through modules collapse into one fused handler: a
 //              single forward sweep resolves every member's output and a
 //              single backward sweep resolves every member's ack.
-//   gate       quiescence gating (plan flag; the schedulers derive their
-//              per-SCC candidate sets).  SCCs whose sleepable drivers are
-//              quiescent and whose boundary inputs are unchanged replay
-//              last cycle's channel values without running any handler.
 //
-// Every pass is individually disableable (OptOptions); -O0 disables all,
-// -O1 enables constprop+dce, -O2 (the default) everything.
+// The level selects the passes: -O0 runs none, -O1 constprop+dce, -O2 (the
+// default) all three.
 #pragma once
 
 #include <cstdint>
@@ -44,23 +40,13 @@
 
 namespace liberty::opt {
 
-/// Pass selection.  `level` sets the defaults; the per-pass flags are
-/// applied on top (so a flag can disable one pass of -O2 or enable one
-/// pass at -O0).
+/// Pass selection by optimization level.
 struct OptOptions {
-  int level = 2;  // 0 = off, 1 = constprop+dce, 2 = +fuse+gate
+  int level = 2;  // 0 = off, 1 = constprop+dce, 2 = +fuse
 
-  bool constprop = true;
-  bool dce = true;
-  bool fuse = true;
-  bool gate = true;
-
-  /// Options with the level folded into the per-pass flags.
   [[nodiscard]] static OptOptions for_level(int level) {
     OptOptions o;
     o.level = level;
-    o.constprop = o.dce = level >= 1;
-    o.fuse = o.gate = level >= 2;
     return o;
   }
 };
@@ -73,8 +59,6 @@ struct OptReport {
   std::size_t elided_modules = 0;
   std::size_t fused_chains = 0;
   std::size_t fused_modules = 0;    // members across all chains
-  std::size_t sleepable_modules = 0;
-  bool gating = false;
 
   /// Detailed per-item lines (module/connection names), for --opt-report.
   std::string detail;
@@ -84,13 +68,13 @@ struct OptReport {
 
 /// Run the pass pipeline over a finalized netlist and attach the resulting
 /// plan (Netlist::set_opt_plan).  Must run before any scheduler is
-/// constructed.  With every pass disabled the plan is not attached at all
-/// (schedulers take their zero-overhead -O0 path).
+/// constructed.  At -O0 the plan is not attached at all (schedulers take
+/// their zero-overhead -O0 path).
 OptReport optimize(core::Netlist& netlist, const OptOptions& options = {});
 
 /// Graphviz DOT dump annotated with the attached plan's conclusions
 /// (elided modules dashed, fused chains grouped by color, constant
-/// connections dotted, sleepable modules noted).  With no plan attached
+/// connections dotted).  With no plan attached
 /// this degrades to the structure Netlist::write_dot prints.
 void write_annotated_dot(const core::Netlist& netlist, std::ostream& os);
 

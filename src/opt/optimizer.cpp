@@ -77,9 +77,7 @@ std::string OptReport::summary() const {
   }
   os << "  const=" << const_forwards << "fwd+" << const_backwards << "bwd"
      << "  elided=" << elided_modules << "  chains=" << fused_chains << "("
-     << fused_modules << " modules)"
-     << "  sleepable=" << sleepable_modules
-     << (gating ? "  gating=on" : "  gating=off");
+     << fused_modules << " modules)";
   return os.str();
 }
 
@@ -92,9 +90,10 @@ OptReport optimize(Netlist& netlist, const OptOptions& options) {
   report.level = options.level;
   // Make re-optimization (e.g. tests sweeping levels) start from scratch.
   netlist.set_opt_plan(nullptr);
-  if (!options.constprop && !options.dce && !options.fuse && !options.gate) {
+  if (options.level <= 0) {
     return report;  // -O0: no plan at all; schedulers take the null path.
   }
+  const bool fuse = options.level >= 2;
 
   const auto& modules = netlist.modules();
   const std::size_t n_mod = modules.size();
@@ -148,73 +147,71 @@ OptReport optimize(Netlist& netlist, const OptOptions& options) {
     return true;
   };
 
-  if (options.constprop) {
-    // Seeds: declared constant forwards, on every connected endpoint of the
-    // declaring port.
-    for (std::size_t i = 0; i < n_mod; ++i) {
-      for (const OptTraits::ConstForward& cf : traits[i].const_forwards()) {
-        if (cf.port->dir() != PortDir::Out) continue;
-        for (std::size_t e = 0; e < cf.port->width(); ++e) {
-          if (Connection* c = cf.port->connection(e)) {
-            set_fwd(*c, cf.enabled, cf.value);
-          }
+  // Seeds: declared constant forwards, on every connected endpoint of the
+  // declaring port.
+  for (std::size_t i = 0; i < n_mod; ++i) {
+    for (const OptTraits::ConstForward& cf : traits[i].const_forwards()) {
+      if (cf.port->dir() != PortDir::Out) continue;
+      for (std::size_t e = 0; e < cf.port->width(); ++e) {
+        if (Connection* c = cf.port->connection(e)) {
+          set_fwd(*c, cf.enabled, cf.value);
         }
       }
     }
-    // Seeds: a pass-through whose output is unconnected always sees the
-    // port's configured unconnected ack, so its input ack is that constant
-    // (pass-through contract: in is acked exactly when out is acked).
-    for (const PassThroughSite& s : sites) {
-      if (!s.valid || s.in_conn == nullptr || s.out_conn != nullptr) continue;
-      if (s.in_conn->ack_mode() != AckMode::Managed ||
-          s.in_conn->has_transfer_gate()) {
+  }
+  // Seeds: a pass-through whose output is unconnected always sees the
+  // port's configured unconnected ack, so its input ack is that constant
+  // (pass-through contract: in is acked exactly when out is acked).
+  for (const PassThroughSite& s : sites) {
+    if (!s.valid || s.in_conn == nullptr || s.out_conn != nullptr) continue;
+    if (s.in_conn->ack_mode() != AckMode::Managed ||
+        s.in_conn->has_transfer_gate()) {
+      continue;
+    }
+    set_bwd(*s.in_conn, s.decl->out->unconnected_ack());
+  }
+  // Rules, to a fixed point.  Channels are single-assignment here, so the
+  // loop terminates after at most n_ch productive iterations.
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    // R1: on a gate-free AutoAccept connection the kernel resolves
+    // ack := enable, so a constant offer makes the ack constant.
+    for (const auto& cp : netlist.connections()) {
+      const Connection& c = *cp;
+      if (c.ack_mode() != AckMode::AutoAccept || c.has_transfer_gate()) {
         continue;
       }
-      set_bwd(*s.in_conn, s.decl->out->unconnected_ack());
+      const ChannelFact& f = fact[forward_channel(c.id())];
+      if (f.known && !fact[backward_channel(c.id())].known) {
+        changed |= set_bwd(c, f.asserted);
+      }
     }
-    // Rules, to a fixed point.  Channels are single-assignment here, so the
-    // loop terminates after at most n_ch productive iterations.
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      // R1: on a gate-free AutoAccept connection the kernel resolves
-      // ack := enable, so a constant offer makes the ack constant.
-      for (const auto& cp : netlist.connections()) {
-        const Connection& c = *cp;
-        if (c.ack_mode() != AckMode::AutoAccept || c.has_transfer_gate()) {
-          continue;
-        }
-        const ChannelFact& f = fact[forward_channel(c.id())];
-        if (f.known && !fact[backward_channel(c.id())].known) {
-          changed |= set_bwd(c, f.asserted);
+    for (const PassThroughSite& s : sites) {
+      if (!s.valid || s.in_conn == nullptr || s.out_conn == nullptr) {
+        continue;
+      }
+      // R2-fwd: constant offer in, constant offer out.  Idle passes
+      // through any transform; an asserted value is folded through the
+      // (pure) transform once, here at elaboration time.
+      const ChannelFact& fi = fact[forward_channel(s.in_conn->id())];
+      ChannelFact& fo = fact[forward_channel(s.out_conn->id())];
+      if (fi.known && !fo.known) {
+        if (!fi.asserted) {
+          changed |= set_fwd(*s.out_conn, false, liberty::Value());
+        } else if (!s.decl->transform) {
+          changed |= set_fwd(*s.out_conn, true, fi.value);
+        } else {
+          changed |= set_fwd(*s.out_conn, true, s.decl->transform(fi.value));
         }
       }
-      for (const PassThroughSite& s : sites) {
-        if (!s.valid || s.in_conn == nullptr || s.out_conn == nullptr) {
-          continue;
-        }
-        // R2-fwd: constant offer in, constant offer out.  Idle passes
-        // through any transform; an asserted value is folded through the
-        // (pure) transform once, here at elaboration time.
-        const ChannelFact& fi = fact[forward_channel(s.in_conn->id())];
-        ChannelFact& fo = fact[forward_channel(s.out_conn->id())];
-        if (fi.known && !fo.known) {
-          if (!fi.asserted) {
-            changed |= set_fwd(*s.out_conn, false, liberty::Value());
-          } else if (!s.decl->transform) {
-            changed |= set_fwd(*s.out_conn, true, fi.value);
-          } else {
-            changed |= set_fwd(*s.out_conn, true, s.decl->transform(fi.value));
-          }
-        }
-        // R2-bwd: constant ack out, constant ack in (the module mirrors the
-        // downstream ack onto its managed input).
-        if (s.in_conn->ack_mode() == AckMode::Managed &&
-            !s.in_conn->has_transfer_gate()) {
-          const ChannelFact& fa = fact[backward_channel(s.out_conn->id())];
-          if (fa.known && !fact[backward_channel(s.in_conn->id())].known) {
-            changed |= set_bwd(*s.in_conn, fa.asserted);
-          }
+      // R2-bwd: constant ack out, constant ack in (the module mirrors the
+      // downstream ack onto its managed input).
+      if (s.in_conn->ack_mode() == AckMode::Managed &&
+          !s.in_conn->has_transfer_gate()) {
+        const ChannelFact& fa = fact[backward_channel(s.out_conn->id())];
+        if (fa.known && !fact[backward_channel(s.in_conn->id())].known) {
+          changed |= set_bwd(*s.in_conn, fa.asserted);
         }
       }
     }
@@ -222,29 +219,27 @@ OptReport optimize(Netlist& netlist, const OptOptions& options) {
 
   // ---- Pass 2: dead-logic elision ----------------------------------------
   std::vector<char> elided(n_mod, 0);
-  if (options.dce) {
-    for (std::size_t i = 0; i < n_mod; ++i) {
-      if (!traits[i].is_stateless() || !traits[i].is_pure()) continue;
-      // Every channel the module drives must already be constant: output
-      // forwards, and the acks of managed inputs.  (A stateless, pure
-      // declaration promises the module never drives an AutoAccept ack.)
-      bool all_const = true;
-      for (const auto& port : modules[i]->ports()) {
-        for (std::size_t e = 0; e < port->width() && all_const; ++e) {
-          const Connection* c = port->connection(e);
-          if (c == nullptr) continue;
-          if (port->dir() == PortDir::Out) {
-            all_const = fact[forward_channel(c->id())].known;
-          } else if (c->ack_mode() == AckMode::Managed) {
-            all_const = fact[backward_channel(c->id())].known;
-          }
+  for (std::size_t i = 0; i < n_mod; ++i) {
+    if (!traits[i].is_stateless() || !traits[i].is_pure()) continue;
+    // Every channel the module drives must already be constant: output
+    // forwards, and the acks of managed inputs.  (A stateless, pure
+    // declaration promises the module never drives an AutoAccept ack.)
+    bool all_const = true;
+    for (const auto& port : modules[i]->ports()) {
+      for (std::size_t e = 0; e < port->width() && all_const; ++e) {
+        const Connection* c = port->connection(e);
+        if (c == nullptr) continue;
+        if (port->dir() == PortDir::Out) {
+          all_const = fact[forward_channel(c->id())].known;
+        } else if (c->ack_mode() == AckMode::Managed) {
+          all_const = fact[backward_channel(c->id())].known;
         }
-        if (!all_const) break;
       }
-      if (all_const) {
-        elided[i] = 1;
-        detail << "elide: " << modules[i]->name() << '\n';
-      }
+      if (!all_const) break;
+    }
+    if (all_const) {
+      elided[i] = 1;
+      detail << "elide: " << modules[i]->name() << '\n';
     }
   }
 
@@ -253,7 +248,7 @@ OptReport optimize(Netlist& netlist, const OptOptions& options) {
   // connected endpoint it has, both links are plain managed/gate-free point
   // -to-point connections, and it survived DCE.
   std::vector<char> fusable(n_mod, 0);
-  if (options.fuse) {
+  if (fuse) {
     for (std::size_t i = 0; i < n_mod; ++i) {
       if (elided[i] != 0 || site_of[i] < 0) continue;
       const PassThroughSite& s = sites[static_cast<std::size_t>(site_of[i])];
@@ -277,7 +272,7 @@ OptReport optimize(Netlist& netlist, const OptOptions& options) {
   std::vector<OptPlan::Chain> chains;
   std::vector<std::int32_t> chain_of_module(n_mod, -1);
   std::vector<std::int32_t> chain_of_channel(n_ch, -1);
-  if (options.fuse) {
+  if (fuse) {
     auto site = [&](const Module* m) -> const PassThroughSite& {
       return sites[static_cast<std::size_t>(site_of[m->id()])];
     };
@@ -334,19 +329,6 @@ OptReport optimize(Netlist& netlist, const OptOptions& options) {
     }
   }
 
-  // ---- Pass 4: quiescence gating -----------------------------------------
-  std::vector<char> sleepable(n_mod, 0);
-  bool gating = false;
-  if (options.gate) {
-    for (std::size_t i = 0; i < n_mod; ++i) {
-      if (traits[i].is_sleepable() && elided[i] == 0) {
-        sleepable[i] = 1;
-        gating = true;
-        ++report.sleepable_modules;
-      }
-    }
-  }
-
   // ---- Assemble and attach the plan --------------------------------------
   auto plan = std::make_shared<OptPlan>();
   plan->channel_const.assign(n_ch, 0);
@@ -371,24 +353,14 @@ OptReport optimize(Netlist& netlist, const OptOptions& options) {
            << (f.asserted ? "ack" : "nack") << '\n';
   }
   plan->elided = std::move(elided);
-  plan->sleepable = std::move(sleepable);
   plan->chains = std::move(chains);
   plan->chain_of_module = std::move(chain_of_module);
   plan->chain_of_channel = std::move(chain_of_channel);
-  plan->gating = gating;
 
   for (const char e : plan->elided) report.elided_modules += (e != 0);
   report.fused_chains = plan->chains.size();
   for (const OptPlan::Chain& ch : plan->chains) {
     report.fused_modules += ch.members.size();
-  }
-  report.gating = gating;
-  if (gating) {
-    for (std::size_t i = 0; i < n_mod; ++i) {
-      if (plan->sleepable[i] != 0) {
-        detail << "gate: " << modules[i]->name() << " sleepable\n";
-      }
-    }
   }
   report.detail = detail.str();
   netlist.set_opt_plan(std::move(plan));
@@ -403,11 +375,7 @@ void write_annotated_dot(const Netlist& netlist, std::ostream& os) {
   constexpr std::size_t kNumColors = sizeof(kChainColor) / sizeof(char*);
   os << "digraph netlist {\n  rankdir=LR;\n  node [shape=box];\n";
   for (const auto& m : netlist.modules()) {
-    os << "  m" << m->id() << " [label=\"" << m->name();
-    if (plan != nullptr && plan->module_sleepable(m->id())) {
-      os << "\\n(sleepable)";
-    }
-    os << "\"";
+    os << "  m" << m->id() << " [label=\"" << m->name() << "\"";
     if (plan != nullptr) {
       if (plan->module_elided(m->id())) {
         os << ", style=dashed, color=gray, fontcolor=gray";

@@ -25,7 +25,6 @@ class Probe : public liberty::core::Module {
   void end_of_cycle() override;
   void declare_deps(liberty::core::Deps& deps) const override;
   void declare_opt(liberty::core::OptTraits& traits) const override;
-  [[nodiscard]] bool can_sleep() const override;
   void save_state(liberty::core::StateWriter& w) const override;
   void load_state(liberty::core::StateReader& r) override;
 
@@ -52,7 +51,6 @@ class FuncMap : public liberty::core::Module {
   void react() override;
   void declare_deps(liberty::core::Deps& deps) const override;
   void declare_opt(liberty::core::OptTraits& traits) const override;
-  [[nodiscard]] bool can_sleep() const override;
 
   void set_fn(Fn fn) { fn_ = std::move(fn); }
 

@@ -24,8 +24,6 @@ class Tee : public liberty::core::Module {
   void react() override;
   void end_of_cycle() override;
   void declare_deps(liberty::core::Deps& deps) const override;
-  void declare_opt(liberty::core::OptTraits& traits) const override;
-  [[nodiscard]] bool can_sleep() const override;
   void save_state(liberty::core::StateWriter& w) const override;
   void load_state(liberty::core::StateReader& r) override;
 

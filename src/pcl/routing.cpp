@@ -91,22 +91,6 @@ void Tee::declare_deps(Deps& deps) const {
   deps.depends(in_, {bwd(out_)});
 }
 
-void Tee::declare_opt(liberty::core::OptTraits& traits) const {
-  // Not a pass-through: the input ack depends on the delivered_ bookkeeping
-  // across all branches, so Tee is gateable but never fused.
-  traits.sleepable();
-}
-
-bool Tee::can_sleep() const {
-  // delivered_ mutates only when something transferred this cycle; with no
-  // transfers the drives repeat verbatim next cycle.
-  if (in_.transferred()) return false;
-  for (std::size_t i = 0; i < out_.width(); ++i) {
-    if (out_.transferred(i)) return false;
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // Mux
 // ---------------------------------------------------------------------------

@@ -30,17 +30,6 @@ void Sink::end_of_cycle() {
   if (stop_after_ != 0 && consumed_ >= stop_after_) request_stop();
 }
 
-void Sink::declare_opt(liberty::core::OptTraits& traits) const {
-  traits.sleepable();
-}
-
-bool Sink::can_sleep() const {
-  // Sink drives nothing, and a transfer into an asleep module still runs
-  // its end_of_cycle (the gate marks transfer endpoints), so stats and the
-  // stop_after trigger are preserved.
-  return true;
-}
-
 void Sink::save_state(liberty::core::StateWriter& w) const {
   w.put_u64(consumed_);
 }

@@ -85,8 +85,7 @@ void Source::declare_opt(liberty::core::OptTraits& traits) const {
   // identical (enable, value) pair each cycle regardless of acks: the
   // backlog is never empty after cycle 0 and its front is always Value().
   // Counter/random/stamped sources vary their payload, rated and windowed
-  // ones their enable.  Never sleepable: cycle_start samples the backlog
-  // accumulator stat unconditionally.
+  // ones their enable.
   if (kind_ == "token" && period_ == 1 && start_ == 0 && count_ == 0 &&
       !stamp_) {
     traits.const_forward(out_, /*enabled=*/true, liberty::Value());

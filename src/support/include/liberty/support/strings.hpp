@@ -1,6 +1,7 @@
 // Small string helpers used by the LSS front end and reporting code.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,5 +21,10 @@ namespace liberty {
 
 /// True when `s` is a valid identifier: [A-Za-z_][A-Za-z0-9_]*.
 [[nodiscard]] bool is_identifier(std::string_view s);
+
+/// Parse a whole decimal unsigned integer (command-line flag values).
+/// Rejects empty input, signs, whitespace, trailing characters and values
+/// above UINT64_MAX; `out` is written only on success.
+[[nodiscard]] bool parse_u64(std::string_view s, std::uint64_t& out);
 
 }  // namespace liberty

@@ -1,7 +1,7 @@
 // Differential oracle: prove N schedulers bit-identical on one netlist.
 //
 // The reference (dynamic) scheduler defines the semantics; every candidate
-// (static, parallel at several thread counts) must match it exactly.  The
+// (static, compiled, native, at -O0 and -O2) must match it exactly.  The
 // oracle runs in two phases:
 //
 //   1. Coarse: each simulator runs the full cycle budget alone, taking a
@@ -33,7 +33,6 @@ namespace liberty::testing {
 
 struct Candidate {
   liberty::core::SchedulerKind kind = liberty::core::SchedulerKind::Static;
-  unsigned threads = 0;  // parallel only; 0 = hardware concurrency
   /// Optimizer level applied to the candidate's netlist (opt::optimize)
   /// before its simulator is built.  The dynamic -O0 reference defines the
   /// semantics, so a nonzero level here proves the optimizer preserves
@@ -45,7 +44,8 @@ struct Candidate {
 
 struct OracleConfig {
   /// Candidates checked against the dynamic reference.  Empty selects the
-  /// default battery: static, parallel x {1, 2, 8} threads.
+  /// default battery: static, compiled at -O0 and -O2, and (when built in)
+  /// native at -O0 and -O2.
   std::vector<Candidate> candidates;
   liberty::core::Cycle snapshot_every = 16;
   bool bisect = true;  // phase 2 on divergence

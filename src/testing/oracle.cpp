@@ -42,7 +42,7 @@ struct RunRecord {
 
 RunRecord run_full(const NetSpec& spec,
                    const liberty::core::ModuleRegistry& registry,
-                   SchedulerKind kind, unsigned threads, Cycle every,
+                   SchedulerKind kind, Cycle every,
                    bool profile, int opt_level,
                    const liberty::resil::FaultPlan* plan) {
   Netlist netlist;
@@ -57,7 +57,7 @@ RunRecord run_full(const NetSpec& spec,
   if (plan != nullptr) {
     injector = std::make_unique<liberty::resil::FaultInjector>(*plan);
   }
-  Simulator sim(netlist, kind, threads);
+  Simulator sim(netlist, kind);
   if (injector != nullptr) injector->install(sim);
   // With config.profile the probe rides along purely to prove it cannot
   // perturb the comparison; its aggregates are discarded.
@@ -93,7 +93,6 @@ std::string kind_name(SchedulerKind kind) {
   switch (kind) {
     case SchedulerKind::Dynamic: return "dynamic";
     case SchedulerKind::Static: return "static";
-    case SchedulerKind::Parallel: return "parallel";
     case SchedulerKind::Compiled: return "compiled";
     case SchedulerKind::Native: return "native";
   }
@@ -128,7 +127,7 @@ Divergence bisect_window(const NetSpec& spec,
     inj_cand = std::make_unique<liberty::resil::FaultInjector>(*plan);
   }
   Simulator sim_ref(nl_ref, SchedulerKind::Dynamic);
-  Simulator sim_cand(nl_cand, cand.kind, cand.threads);
+  Simulator sim_cand(nl_cand, cand.kind);
   if (inj_ref != nullptr) {
     inj_ref->install(sim_ref);
     inj_cand->install(sim_cand);
@@ -207,9 +206,6 @@ Divergence bisect_window(const NetSpec& spec,
 
 std::string Candidate::describe() const {
   std::string s = kind_name(kind);
-  if (kind == liberty::core::SchedulerKind::Parallel) {
-    s += "(" + std::to_string(threads) + "t)";
-  }
   if (opt_level > 0) s += "-O" + std::to_string(opt_level);
   return s;
 }
@@ -233,31 +229,28 @@ OracleResult run_oracle(const NetSpec& spec,
 
   std::vector<Candidate> candidates = config.candidates;
   if (candidates.empty()) {
-    candidates = {Candidate{SchedulerKind::Static, 0},
-                  Candidate{SchedulerKind::Parallel, 1},
-                  Candidate{SchedulerKind::Parallel, 2},
-                  Candidate{SchedulerKind::Parallel, 8},
-                  Candidate{SchedulerKind::Compiled, 0},
-                  Candidate{SchedulerKind::Compiled, 0, /*opt_level=*/2}};
+    candidates = {Candidate{SchedulerKind::Static},
+                  Candidate{SchedulerKind::Compiled},
+                  Candidate{SchedulerKind::Compiled, /*opt_level=*/2}};
 #if defined(LIBERTY_NATIVE_CODEGEN)
     // The native backend rides the default matrix only when built in;
     // whatever the emitter declines runs on its bytecode fallback, so
     // every netlist is still a valid native candidate.
-    candidates.push_back(Candidate{SchedulerKind::Native, 0});
-    candidates.push_back(Candidate{SchedulerKind::Native, 0, /*opt_level=*/2});
+    candidates.push_back(Candidate{SchedulerKind::Native});
+    candidates.push_back(Candidate{SchedulerKind::Native, /*opt_level=*/2});
 #endif
   }
 
   const Cycle every =
       config.snapshot_every == 0 ? 16 : config.snapshot_every;
   const RunRecord ref = run_full(spec, registry, SchedulerKind::Dynamic,
-                                 /*threads=*/0, every, config.profile,
-                                 /*opt_level=*/0, config.fault_plan);
+                                 every, config.profile, /*opt_level=*/0,
+                                 config.fault_plan);
 
   OracleResult result;
   for (const Candidate& cand : candidates) {
-    const RunRecord rec = run_full(spec, registry, cand.kind, cand.threads,
-                                   every, config.profile, cand.opt_level,
+    const RunRecord rec = run_full(spec, registry, cand.kind, every,
+                                   config.profile, cand.opt_level,
                                    config.fault_plan);
 
     // First disagreeing window: window w spans snapshots w -> w+1.

@@ -24,6 +24,7 @@ using liberty::resil::FaultPlan;
 using liberty::resil::FaultSpec;
 using liberty::test::params;
 using liberty::test::registry;
+using liberty::testing::Candidate;
 using liberty::testing::FuzzConfig;
 using liberty::testing::NetSpec;
 using liberty::testing::OracleConfig;
@@ -133,16 +134,19 @@ TEST(Oracle, InjectedStaticFaultCaughtAndBisected) {
   EXPECT_NE(d.detail.find("cycle 50"), std::string::npos) << d.detail;
 }
 
-TEST(Oracle, InjectedParallelFaultBlamesEveryThreadCount) {
-  const FaultPlan plan = scheduler_fault("parallel", 30, 1);
+TEST(Oracle, InjectedCompiledFaultBlamesEveryOptLevel) {
+  const FaultPlan plan = scheduler_fault("compiled", 30, 1);
   OracleConfig cfg;
   cfg.fault_plan = &plan;
+  cfg.candidates = {Candidate{SchedulerKind::Static},
+                    Candidate{SchedulerKind::Compiled},
+                    Candidate{SchedulerKind::Compiled, /*opt_level=*/2}};
   const OracleResult r = run_oracle(pipeline_spec(), fuzz_registry(), cfg);
   ASSERT_FALSE(r.ok);
-  // Default battery: static (healthy) + parallel x {1, 2, 8} (all faulty).
-  ASSERT_EQ(r.divergences.size(), 3u) << r.report();
+  // Static stays healthy; the compiled candidate is faulty at every level.
+  ASSERT_EQ(r.divergences.size(), 2u) << r.report();
   for (const liberty::testing::Divergence& d : r.divergences) {
-    EXPECT_EQ(d.candidate.kind, SchedulerKind::Parallel);
+    EXPECT_EQ(d.candidate.kind, SchedulerKind::Compiled);
     EXPECT_EQ(d.first_divergent_cycle, 30u) << d.detail;
   }
 }

@@ -65,11 +65,10 @@ TEST(GenLowering, PipelineDevirtualizesEveryStockModule) {
   EXPECT_GT(prog.devirt_ops, 0u);
 
   // Start phase: Source and Queue override cycle_start, Sink does not —
-  // two devirtualized start instructions, nothing virtual or gated.
+  // two devirtualized start instructions, nothing virtual.
   EXPECT_EQ(count_ops(prog.start, Op::StartSource), 1u);
   EXPECT_EQ(count_ops(prog.start, Op::StartQueue), 1u);
   EXPECT_EQ(count_ops(prog.start, Op::StartVirtual), 0u);
-  EXPECT_EQ(count_ops(prog.start, Op::StartGated), 0u);
   EXPECT_EQ(prog.start.size(), 3u);  // 2 starts + Halt
 
   // Commit phase: all three override end_of_cycle.

@@ -125,8 +125,7 @@ TEST(LssErrors, CombinationalLoopDiagnosedWithChannelChain) {
   // point passes per group, so the cap fires with the loop attributed
   // (the dynamic scheduler may trip the non-monotone-drive check first,
   // depending on worklist order).
-  liberty::core::Simulator sim(netlist, liberty::core::SchedulerKind::Static,
-                               0);
+  liberty::core::Simulator sim(netlist, liberty::core::SchedulerKind::Static);
   sim.scheduler().set_iteration_cap(1);
   try {
     sim.run(10);

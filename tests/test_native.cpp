@@ -340,8 +340,8 @@ TEST_F(NativeTest, RackScenarioDigestMatchesDynamic) {
   liberty::testing::OracleConfig oracle;
   oracle.snapshot_every = 256;
   oracle.candidates = {
-      liberty::testing::Candidate{SchedulerKind::Native, 0},
-      liberty::testing::Candidate{SchedulerKind::Native, 0, /*opt_level=*/2},
+      liberty::testing::Candidate{SchedulerKind::Native},
+      liberty::testing::Candidate{SchedulerKind::Native, /*opt_level=*/2},
   };
   const liberty::testing::OracleResult r =
       liberty::testing::run_oracle(spec, registry, oracle);

@@ -12,6 +12,7 @@
 
 #include "liberty/ccl/ccl.hpp"
 #include "liberty/core/simulator.hpp"
+#include "liberty/gen/compiled_scheduler.hpp"
 #include "liberty/obs/json.hpp"
 #include "liberty/obs/metrics.hpp"
 #include "liberty/obs/profiler.hpp"
@@ -105,7 +106,7 @@ TEST(ObsJson, ParserRejectsGarbage) {
 TEST(ObsTrace, StructurallyValidChromeTrace) {
   Netlist nl;
   build_pipeline(nl);
-  Simulator sim(nl, SchedulerKind::Parallel, 2);
+  Simulator sim(nl, SchedulerKind::Static);
 
   std::ostringstream trace_out;
   CycleProfiler prof;
@@ -260,33 +261,37 @@ TEST(ObsProfiler, BooksBalanceAgainstSchedulerCounters) {
   EXPECT_EQ(attributed, sim.scheduler().react_calls());
 }
 
-TEST(ObsProfiler, ParallelLanesAccounted) {
+TEST(ObsProfiler, CompiledReactsAttributed) {
+  // The compiled backend's devirtualized react opcodes must attribute
+  // exactly like the generic call path.
+  liberty::gen::ensure_registered();
   Netlist nl;
-  build_pipeline(nl);
-  Simulator sim(nl, SchedulerKind::Parallel, 2);
+  auto& src = nl.make<liberty::pcl::Source>(
+      "src", liberty::test::params({{"kind", liberty::Value(std::string(
+                                                 "counter"))}}));
+  auto& probe = nl.make<liberty::pcl::Probe>("p", liberty::core::Params());
+  auto& snk = nl.make<liberty::pcl::Sink>("snk", liberty::core::Params());
+  nl.connect(src.out("out"), probe.in("in"));
+  nl.connect(probe.out("out"), snk.in("in"));
+  nl.finalize();
+  Simulator sim(nl, SchedulerKind::Compiled);
   CycleProfiler prof;
   sim.set_probe(&prof);
   sim.run(25);
 
   std::uint64_t attributed = 0;
   for (const std::uint64_t r : prof.module_reacts()) attributed += r;
+  EXPECT_GT(attributed, 0u);
   EXPECT_EQ(attributed, sim.scheduler().react_calls());
-  // Wave/lane accounting only exists when waves were actually dispatched
-  // to the pool (narrow waves run inline).
-  if (prof.waves() > 0) {
-    EXPECT_FALSE(prof.lanes().empty());
-    EXPECT_GE(prof.lane_idle_seconds(), 0.0);
-  }
 }
 
 // --- Observer identity across schedulers -----------------------------------
 
 std::vector<std::string> record_transfers(const NetSpec& spec,
-                                          SchedulerKind kind,
-                                          unsigned threads, bool profile) {
+                                          SchedulerKind kind, bool profile) {
   Netlist nl;
   spec.build(nl, fuzz_registry());
-  Simulator sim(nl, kind, threads);
+  Simulator sim(nl, kind);
   CycleProfiler prof;
   if (profile) sim.set_probe(&prof);
   std::vector<std::string> events;
@@ -299,24 +304,23 @@ std::vector<std::string> record_transfers(const NetSpec& spec,
 }
 
 TEST(ObsIdentity, TransferObserverIdenticalAcrossSchedulers) {
+  liberty::gen::ensure_registered();
   FuzzConfig cfg;
   cfg.feedback_prob = 1.0;  // always thread a feedback ring into the net
   bool saw_transfers = false;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const NetSpec spec = generate_netlist(seed, cfg);
-    const auto ref = record_transfers(spec, SchedulerKind::Dynamic, 0,
+    const auto ref = record_transfers(spec, SchedulerKind::Dynamic,
                                       /*profile=*/false);
     saw_transfers = saw_transfers || !ref.empty();
     // Same events in the same order — under every scheduler, and
     // indifferent to an attached profiler.
-    EXPECT_EQ(record_transfers(spec, SchedulerKind::Dynamic, 0, true), ref)
-        << "seed " << seed;
-    EXPECT_EQ(record_transfers(spec, SchedulerKind::Static, 0, true), ref)
-        << "seed " << seed;
-    EXPECT_EQ(record_transfers(spec, SchedulerKind::Parallel, 1, true), ref)
-        << "seed " << seed;
-    EXPECT_EQ(record_transfers(spec, SchedulerKind::Parallel, 4, true), ref)
-        << "seed " << seed;
+    for (const SchedulerKind kind :
+         {SchedulerKind::Dynamic, SchedulerKind::Static,
+          SchedulerKind::Compiled}) {
+      EXPECT_EQ(record_transfers(spec, kind, /*profile=*/true), ref)
+          << "seed " << seed << " kind " << static_cast<int>(kind);
+    }
   }
   EXPECT_TRUE(saw_transfers);
 }

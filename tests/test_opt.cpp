@@ -118,17 +118,6 @@ TEST(OptConst, WindowedOrStampedSourcesAreNotConstant) {
   EXPECT_EQ(rep.const_forwards, 0u);
 }
 
-TEST(OptConst, PerPassFlagDisablesConstprop) {
-  Netlist nl;
-  build_const_line(nl);
-  OptOptions opts;  // -O2 defaults
-  opts.constprop = false;
-  const OptReport rep = liberty::opt::optimize(nl, opts);
-  EXPECT_EQ(rep.const_forwards, 0u);
-  EXPECT_EQ(rep.const_backwards, 0u);
-  ASSERT_NE(nl.opt_plan(), nullptr);  // other passes still attach a plan
-}
-
 TEST(OptConst, ConstantsSurviveSnapshotRestore) {
   Netlist nl;
   build_const_line(nl);
@@ -185,17 +174,6 @@ TEST(OptDce, StatObservedModulesAreNeverElided) {
                nl.opt_plan()->module_elided(probe.id()));
 }
 
-TEST(OptDce, FlagDisablesElision) {
-  Netlist nl;
-  Module& src = add(nl, "pcl.source", "src", token_tap());
-  add(nl, "pcl.funcmap", "f");
-  nl.connect(src.out("out"), nl.modules()[1]->in("in"));
-  nl.finalize();
-  OptOptions opts;
-  opts.dce = false;
-  EXPECT_EQ(liberty::opt::optimize(nl, opts).elided_modules, 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Stateless-chain fusion
 // ---------------------------------------------------------------------------
@@ -248,6 +226,15 @@ TEST(OptFuse, MaximalChainIsFusedOnce) {
   EXPECT_EQ(counter(sim, "opt.bwd_sweeps"), 25u);
 }
 
+TEST(OptFuse, LevelOneRunsNoFusion) {
+  Netlist nl;
+  chain_netspec().build(nl, registry());
+  const OptReport rep = liberty::opt::optimize(nl, OptOptions::for_level(1));
+  EXPECT_EQ(rep.fused_chains, 0u);
+  ASSERT_NE(nl.opt_plan(), nullptr);  // constprop+dce still attach a plan
+  EXPECT_TRUE(nl.opt_plan()->chains.empty());
+}
+
 TEST(OptFuse, TransferGateBlocksFusion) {
   // A control override (transfer gate) on the tail link must keep that
   // module unfused: the gate's deferred-ack protocol is not sweepable.
@@ -294,7 +281,7 @@ TEST(OptFuse, FanOutModulesAreNotFused) {
 }
 
 // ---------------------------------------------------------------------------
-// Quiescence gating
+// Bit-identity: every optimized scheduler against the -O0 dynamic reference
 // ---------------------------------------------------------------------------
 
 /// Short burst, long idle tail: src (count=20) -> delay -> probe -> sink.
@@ -313,52 +300,12 @@ NetSpec burst_netspec() {
   return spec;
 }
 
-TEST(OptGate, IdleSccsSleepAndWakeOnTraffic) {
-  for (const SchedulerKind kind :
-       {SchedulerKind::Dynamic, SchedulerKind::Static,
-        SchedulerKind::Parallel}) {
-    Netlist nl;
-    burst_netspec().build(nl, registry());
-    const OptReport rep = liberty::opt::optimize(nl);
-    EXPECT_TRUE(rep.gating);
-    EXPECT_GE(rep.sleepable_modules, 3u);  // delay, probe, sink
-    Simulator sim(nl, kind, /*threads=*/2);
-    sim.run(400);
-    EXPECT_GT(counter(sim, "opt.gated_sccs"), 0u) << (int)kind;
-    EXPECT_GT(counter(sim, "opt.scc_sleeps"), 0u) << (int)kind;
-    EXPECT_GT(counter(sim, "opt.eoc_skips"), 0u) << (int)kind;
-    // The burst itself must still have flowed: 20 items into the sink.
-    std::ostringstream stats;
-    nl.dump_stats(stats);
-    EXPECT_NE(stats.str().find("consumed"), std::string::npos);
-  }
-}
-
-TEST(OptGate, FlagDisablesGating) {
-  Netlist nl;
-  burst_netspec().build(nl, registry());
-  OptOptions opts;
-  opts.gate = false;
-  const OptReport rep = liberty::opt::optimize(nl, opts);
-  EXPECT_FALSE(rep.gating);
-  Simulator sim(nl, SchedulerKind::Static);
-  sim.run(100);
-  EXPECT_EQ(counter(sim, "opt.gated_sccs"), 0u);
-  EXPECT_EQ(counter(sim, "opt.scc_sleeps"), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Bit-identity: every optimized scheduler against the -O0 dynamic reference
-// ---------------------------------------------------------------------------
-
 std::vector<Candidate> optimized_battery() {
-  return {Candidate{SchedulerKind::Dynamic, 0, 2},
-          Candidate{SchedulerKind::Static, 0, 1},
-          Candidate{SchedulerKind::Static, 0, 2},
-          Candidate{SchedulerKind::Parallel, 1, 2},
-          Candidate{SchedulerKind::Parallel, 4, 2},
-          Candidate{SchedulerKind::Compiled, 0, 1},
-          Candidate{SchedulerKind::Compiled, 0, 2}};
+  return {Candidate{SchedulerKind::Dynamic, 2},
+          Candidate{SchedulerKind::Static, 1},
+          Candidate{SchedulerKind::Static, 2},
+          Candidate{SchedulerKind::Compiled, 1},
+          Candidate{SchedulerKind::Compiled, 2}};
 }
 
 TEST(OptOracle, OptimizedSchedulersMatchUnoptimizedReference) {

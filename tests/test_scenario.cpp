@@ -138,13 +138,11 @@ TEST(Scenario, OracleIdentityAcrossSchedulersAndOptLevels) {
   liberty::testing::OracleConfig oracle;
   oracle.snapshot_every = 256;
   oracle.candidates = {
-      Candidate{SchedulerKind::Static, 0},
-      Candidate{SchedulerKind::Parallel, 2},
-      Candidate{SchedulerKind::Compiled, 0},
-      Candidate{SchedulerKind::Dynamic, 0, /*opt_level=*/2},
-      Candidate{SchedulerKind::Static, 0, /*opt_level=*/2},
-      Candidate{SchedulerKind::Parallel, 2, /*opt_level=*/2},
-      Candidate{SchedulerKind::Compiled, 0, /*opt_level=*/2},
+      Candidate{SchedulerKind::Static},
+      Candidate{SchedulerKind::Compiled},
+      Candidate{SchedulerKind::Dynamic, /*opt_level=*/2},
+      Candidate{SchedulerKind::Static, /*opt_level=*/2},
+      Candidate{SchedulerKind::Compiled, /*opt_level=*/2},
   };
   const liberty::testing::OracleResult r =
       liberty::testing::run_oracle(spec, rack_registry(), oracle);
@@ -164,7 +162,7 @@ TEST(Scenario, ReplayIsByteIdentical) {
     spec.build(netlist, rack_registry());
     liberty::opt::optimize(netlist,
                            liberty::opt::OptOptions::for_level(opt_level));
-    Simulator sim(netlist, kind, kind == SchedulerKind::Parallel ? 2 : 0);
+    Simulator sim(netlist, kind);
     sim.run(cfg.cycles);
     EXPECT_GT(completed_count(netlist, cfg), 0u);
     return all_records(netlist, cfg);
@@ -174,7 +172,7 @@ TEST(Scenario, ReplayIsByteIdentical) {
   EXPECT_NE(reference.find("rec "), std::string::npos) << reference;
   EXPECT_EQ(run(SchedulerKind::Static, 0), reference) << "fresh elaboration";
   EXPECT_EQ(run(SchedulerKind::Dynamic, 0), reference) << "dynamic";
-  EXPECT_EQ(run(SchedulerKind::Parallel, 0), reference) << "parallel";
+  EXPECT_EQ(run(SchedulerKind::Compiled, 0), reference) << "compiled";
   EXPECT_EQ(run(SchedulerKind::Compiled, 2), reference) << "compiled -O2";
 }
 
@@ -193,7 +191,7 @@ TEST(Scenario, ExplicitTraceFileMatchesSynthetic) {
   auto run = [&](const RackConfig& cfg) {
     Netlist netlist;
     liberty::scenario::rack_netspec(cfg).build(netlist, rack_registry());
-    Simulator sim(netlist, SchedulerKind::Static, 0);
+    Simulator sim(netlist, SchedulerKind::Static);
     sim.run(cfg.cycles);
     return all_records(netlist, cfg);
   };
@@ -208,7 +206,7 @@ TEST(Scenario, SnapshotRestoreMidFlight) {
   const RackConfig cfg = tiny_rack();
   Netlist netlist;
   liberty::scenario::rack_netspec(cfg).build(netlist, rack_registry());
-  Simulator sim(netlist, SchedulerKind::Static, 0);
+  Simulator sim(netlist, SchedulerKind::Static);
 
   sim.run(cfg.cycles / 4);  // requests are mid-flight here
   const KernelSnapshot snap = sim.snapshot();
@@ -265,7 +263,7 @@ TEST(Scenario, NicChannelFaultRecoversViaSupervisor) {
   {
     Netlist twin;
     spec.build(twin, rack_registry());
-    Simulator sim(twin, SchedulerKind::Static, 0);
+    Simulator sim(twin, SchedulerKind::Static);
     liberty::resil::Watchdog rec;
     rec.record_baseline();
     rec.attach(sim);
@@ -309,7 +307,7 @@ TEST(Scenario, FuzzFamilyIsDeterministicPerSeed) {
     // Every generated spec elaborates and runs.
     Netlist netlist;
     a.build(netlist, rack_registry());
-    Simulator sim(netlist, SchedulerKind::Static, 0);
+    Simulator sim(netlist, SchedulerKind::Static);
     EXPECT_EQ(sim.run(64), 64u);
   }
   EXPECT_NE(liberty::scenario::fuzz_rack_netspec(1).render(),
@@ -350,7 +348,7 @@ TEST(Scenario, GoldenMetricsExport) {
   const RackConfig cfg = tiny_rack();
   Netlist netlist;
   liberty::scenario::rack_netspec(cfg).build(netlist, rack_registry());
-  Simulator sim(netlist, SchedulerKind::Static, 0);
+  Simulator sim(netlist, SchedulerKind::Static);
   const std::uint64_t ran = sim.run(cfg.cycles);
 
   std::uint64_t injected = 0;
@@ -410,7 +408,6 @@ TEST(Scenario, GoldenMetricsExport) {
   meta.tool = "rack_sim";
   meta.spec = cfg.tag();
   meta.scheduler = "static";
-  meta.threads = 0;
   meta.seed = cfg.seed;
   meta.cycles = ran;
   meta.git_rev = "golden";  // pinned: goldens must not depend on HEAD

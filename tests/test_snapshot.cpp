@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "liberty/core/state.hpp"
+#include "liberty/gen/compiled_scheduler.hpp"
 #include "liberty/opt/optimizer.hpp"
 #include "liberty/support/error.hpp"
 #include "liberty/testing/netspec.hpp"
@@ -168,19 +169,19 @@ TEST(Snapshot, RestoreIntoFreshNetlist) {
   EXPECT_EQ(log_b, log_a);
 }
 
-// Regression: the -O2 quiescence gate caches per-cycle resolutions and
-// replays them while a region sleeps; a restore rewinds module state
-// underneath those caches, so the kernel must invalidate all in-flight
-// scheduler state (gate caches, backoff, fused-chain stamps) on restore or
-// the replay serves stale cached values and diverges from the original.
-TEST(Snapshot, RestoreUnderO2GatingReplaysBitIdentical) {
+// A restore rewinds module state underneath the -O2 plan's in-flight
+// scheduler state (fused-chain sweep stamps, pre-resolved constants), so
+// the replay after restore must match the original run bit for bit.
+TEST(Snapshot, RestoreUnderO2ReplaysBitIdentical) {
+  liberty::gen::ensure_registered();
   for (const auto& spec : {pipeline_spec(), stochastic_spec()}) {
     Netlist netlist;
     spec.build(netlist, registry());
     liberty::opt::optimize(netlist, liberty::opt::OptOptions::for_level(2));
     for (const auto kind : {liberty::core::SchedulerKind::Dynamic,
-                            liberty::core::SchedulerKind::Static}) {
-      Simulator sim(netlist, kind, 0);
+                            liberty::core::SchedulerKind::Static,
+                            liberty::core::SchedulerKind::Compiled}) {
+      Simulator sim(netlist, kind);
       std::vector<std::string> log;
       record_transfers(sim, log);
 
