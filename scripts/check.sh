@@ -224,6 +224,32 @@ if [ "$clean_run" != "$resumed2" ]; then
 fi
 echo "crash-recovery smoke ok: killed at 230, resumed, $resumed"
 
+# The same crash drill on a small rack with its OoO core: checkpoints carry
+# payload codecs (flits, coherence messages, memory requests) and cache and
+# predictor tables, so the resumed digest checks the checkpoint writer on
+# real component state.
+rack_ck_dir="$smoke_dir/rack-ckpts"
+rack_ck_args=(--cols 2 --rows 1 --cores 1 --requests 2 --cycles 600
+  --checkpoint-every 64 --quiet --digest)
+rack_clean="$(./build/examples/rack_sim "${rack_ck_args[@]}" \
+  | grep '^digest:')"
+kill_status=0
+./build/examples/rack_sim "${rack_ck_args[@]}" --checkpoint-dir "$rack_ck_dir" \
+  --kill-at 300 >/dev/null 2>&1 || kill_status=$?
+if [ "$kill_status" -ne 137 ]; then
+  echo "rack_sim --kill-at 300 did not SIGKILL the run (exit $kill_status)" >&2
+  exit 1
+fi
+rack_resumed="$(./build/examples/rack_sim "${rack_ck_args[@]}" \
+  --checkpoint-dir "$rack_ck_dir" --resume 2>/dev/null | grep '^digest:')"
+if [ "$rack_clean" != "$rack_resumed" ]; then
+  echo "resumed rack diverged from the uninterrupted rack:" >&2
+  echo "  clean:   $rack_clean" >&2
+  echo "  resumed: $rack_resumed" >&2
+  exit 1
+fi
+echo "rack crash-recovery smoke ok: killed at 300, resumed, $rack_resumed"
+
 # Rack-scenario smoke: the flagship full-system scenario (docs/scenarios.md)
 # must land on identical trace + state digests under the dynamic and
 # compiled schedulers, and its metrics export must carry the rack.*

@@ -40,6 +40,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <typeindex>
@@ -55,10 +56,14 @@ namespace liberty::core {
 
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Reserve room for about `size_hint` bytes up front.
+  explicit ByteWriter(std::size_t size_hint) { buf_.reserve(size_hint); }
+
   void put_u8(std::uint8_t x) { buf_.push_back(static_cast<char>(x)); }
-  void put_u16(std::uint16_t x) { put_le(x, 2); }
-  void put_u32(std::uint32_t x) { put_le(x, 4); }
-  void put_u64(std::uint64_t x) { put_le(x, 8); }
+  void put_u16(std::uint16_t x) { put_le(x); }
+  void put_u32(std::uint32_t x) { put_le(x); }
+  void put_u64(std::uint64_t x) { put_le(x); }
   void put_i64(std::int64_t x) { put_u64(static_cast<std::uint64_t>(x)); }
   void put_real(double x);
   void put_bytes(const void* data, std::size_t n) {
@@ -75,10 +80,15 @@ class ByteWriter {
   void patch_u64(std::size_t at, std::uint64_t x);
 
  private:
-  void put_le(std::uint64_t x, int n) {
-    for (int i = 0; i < n; ++i) {
-      buf_.push_back(static_cast<char>((x >> (8 * i)) & 0xffU));
+  // Little-endian on any host: the bytes are staged locally (the loop
+  // folds to a single store) and appended in one call.
+  template <typename T>
+  void put_le(T x) {
+    char b[sizeof(T)];
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      b[i] = static_cast<char>((x >> (8 * i)) & 0xffU);
     }
+    buf_.append(b, sizeof(T));
   }
   std::string buf_;
 };
@@ -116,7 +126,8 @@ class ByteReader {
 };
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over `n` bytes; chain calls by
-/// passing the previous return as `seed`.
+/// passing the previous return as `seed`.  Slicing-by-8: eight bytes per
+/// step through eight 256-entry tables, bytewise for the tail.
 [[nodiscard]] std::uint32_t crc32_bytes(const void* data, std::size_t n,
                                         std::uint32_t seed = 0);
 
@@ -152,9 +163,22 @@ struct CheckpointImage {
   std::vector<std::uint64_t> trace_hashes;  // per-cycle prefix [0, cycle)
 };
 
-/// Serialize to the on-disk v1 format.  Throws SimulationError when a slot
-/// holds a payload with no registered codec.
-[[nodiscard]] std::string serialize_checkpoint(const CheckpointImage& img);
+/// Serialize to the on-disk v1 format from the checkpoint's parts, so a
+/// caller holding a live snapshot and trace-hash prefix (the
+/// DurableSupervisor) encodes them in place instead of copying them into a
+/// CheckpointImage.  Throws SimulationError when a slot holds a payload
+/// with no registered codec.
+[[nodiscard]] std::string serialize_checkpoint(
+    std::uint64_t topology_hash, std::uint64_t aux_seed,
+    const KernelSnapshot& snapshot,
+    std::span<const std::uint64_t> trace_hashes);
+
+/// The same encoder over a CheckpointImage.
+[[nodiscard]] inline std::string serialize_checkpoint(
+    const CheckpointImage& img) {
+  return serialize_checkpoint(img.topology_hash, img.aux_seed, img.snapshot,
+                              img.trace_hashes);
+}
 
 /// Parse bytes back into `out`.  Returns false with a human-readable
 /// `why` on any defect (truncation, CRC mismatch, bad magic/version,

@@ -10,8 +10,13 @@
 //
 // Cost contract: with no probe installed every instrumentation site is a
 // single null/flag check (measured <2% on bench_scheduler, see
-// docs/observability.md).  With a probe installed the kernel additionally
-// reads the monotonic clock around each phase and each react() call.
+// docs/observability.md).  With a probe installed the kernel calls the
+// cycle callbacks (on_cycle_begin, on_cycle_resolved, on_cycle_end) every
+// cycle; only when the probe is timed() does it also read the monotonic
+// clock around each phase and each react() call and report them through
+// on_phase/on_react.  A probe that only inspects cycle outcomes (the
+// resil TraceRecorder and Watchdog) answers timed() == false and leaves
+// the hot path clock-free.
 //
 // Threading contract: every callback fires on the simulation thread, so
 // probes may aggregate into plain fields.
@@ -49,6 +54,11 @@ inline constexpr std::size_t kSchedPhaseCount = 4;
 class KernelProbe {
  public:
   virtual ~KernelProbe() = default;
+
+  /// Whether this probe consumes on_phase/on_react.  Sampled once per
+  /// cycle at its start: an untimed probe gets only the cycle callbacks,
+  /// and the kernel skips every clock read for that cycle.
+  [[nodiscard]] virtual bool timed() const { return true; }
 
   virtual void on_cycle_begin(Cycle) {}
   virtual void on_cycle_end(Cycle) {}

@@ -48,8 +48,8 @@ struct ResolveCtx {
   std::uint64_t reacts = 0;       // Module::react invocations
   std::uint64_t defaults = 0;     // kernel defaulting actions
   std::vector<Connection*> transferred;  // dirty list: completed transfers
-  /// Non-null while a KernelProbe is installed: every react is timed and
-  /// reported to it (per-module attribution).
+  /// Non-null while a timed() KernelProbe is installed: every react is
+  /// timed and reported to it (per-module attribution).
   KernelProbe* timing = nullptr;
 };
 

@@ -100,7 +100,17 @@ class Simulator {
   /// Capture a between-cycles snapshot of the kernel: cycle counter, stop
   /// flag, and every module's serialized state.  Must not be called from
   /// inside a simulation hook.
-  [[nodiscard]] KernelSnapshot snapshot() const;
+  [[nodiscard]] KernelSnapshot snapshot() const {
+    KernelSnapshot snap;
+    snapshot_into(snap);
+    return snap;
+  }
+
+  /// snapshot(), overwriting `snap` in place: its per-module slot vectors
+  /// are cleared and refilled, keeping their capacity, so a caller that
+  /// checkpoints repeatedly (resil::Supervisor) stops reallocating them.
+  /// Any earlier content of `snap` is replaced in full.
+  void snapshot_into(KernelSnapshot& snap) const;
 
   /// Rewind the simulator to `snap`.  Every module's load_state must
   /// consume exactly the slots its save_state produced; statistics and

@@ -28,6 +28,13 @@ namespace liberty::core {
 
 class StateWriter {
  public:
+  StateWriter() = default;
+  /// Write into `buf`, cleared first but keeping its capacity, so a
+  /// recycled snapshot's slot vectors are refilled without reallocating.
+  explicit StateWriter(std::vector<Value> buf) : slots_(std::move(buf)) {
+    slots_.clear();
+  }
+
   void put(Value v) { slots_.push_back(std::move(v)); }
   void put_bool(bool b) { slots_.emplace_back(b); }
   void put_i64(std::int64_t x) { slots_.emplace_back(x); }

@@ -80,21 +80,43 @@ std::string ByteReader::get_string() {
 
 std::uint32_t crc32_bytes(const void* data, std::size_t n,
                           std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // table[0] is the classic bytewise table; table[k][i] is the CRC of byte
+  // i followed by k zero bytes, so eight lookups advance eight bytes.
+  using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+  static const Tables table = [] {
+    Tables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1U) != 0 ? 0xedb88320U ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      for (std::size_t k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffU];
+      }
     }
     return t;
   }();
+  const auto load32 = [](const std::uint8_t* q) {
+    return static_cast<std::uint32_t>(q[0]) |
+           (static_cast<std::uint32_t>(q[1]) << 8) |
+           (static_cast<std::uint32_t>(q[2]) << 16) |
+           (static_cast<std::uint32_t>(q[3]) << 24);
+  };
   std::uint32_t crc = seed ^ 0xffffffffU;
   const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ p[i]) & 0xffU] ^ (crc >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = load32(p) ^ crc;
+    const std::uint32_t hi = load32(p + 4);
+    crc = table[7][lo & 0xffU] ^ table[6][(lo >> 8) & 0xffU] ^
+          table[5][(lo >> 16) & 0xffU] ^ table[4][lo >> 24] ^
+          table[3][hi & 0xffU] ^ table[2][(hi >> 8) & 0xffU] ^
+          table[1][(hi >> 16) & 0xffU] ^ table[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) {
+    crc = table[0][(crc ^ *p) & 0xffU] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffU;
 }
@@ -104,14 +126,17 @@ std::uint32_t crc32_bytes(const void* data, std::size_t n,
 namespace {
 
 struct Codec {
+  std::string name;
   PayloadEncoder encode;
   PayloadDecoder decode;
 };
 
+// Codecs are never removed, and unordered_map nodes never move, so a Codec
+// found under the lock stays valid after it is released.
 struct CodecRegistry {
   std::mutex mu;
   std::unordered_map<std::string, Codec> by_name;
-  std::unordered_map<std::type_index, std::string> name_by_type;
+  std::unordered_map<std::type_index, const Codec*> by_type;
 };
 
 CodecRegistry& codecs() {
@@ -136,9 +161,10 @@ void register_payload_codec(std::string name, std::type_index type,
   CodecRegistry& r = codecs();
   const std::lock_guard<std::mutex> lock(r.mu);
   if (r.by_name.count(name) != 0) return;  // idempotent re-registration
-  r.name_by_type.emplace(type, name);
-  r.by_name.emplace(std::move(name), Codec{std::move(encode),
-                                           std::move(decode)});
+  const auto it =
+      r.by_name.emplace(name, Codec{name, std::move(encode), std::move(decode)})
+          .first;
+  r.by_type.emplace(type, &it->second);
 }
 
 bool payload_codec_registered(std::string_view name) {
@@ -169,25 +195,21 @@ void encode_value(ByteWriter& w, const liberty::Value& v) {
       w.put_u8(kTagToken);  // a null payload carries no information
       return;
     }
-    std::string name;
-    PayloadEncoder encode;
+    const Codec* codec = nullptr;
     {
       CodecRegistry& r = codecs();
       const std::lock_guard<std::mutex> lock(r.mu);
-      const auto it = r.name_by_type.find(std::type_index(typeid(*p)));
-      if (it != r.name_by_type.end()) {
-        name = it->second;
-        encode = r.by_name.at(name).encode;
-      }
+      const auto it = r.by_type.find(std::type_index(typeid(*p)));
+      if (it != r.by_type.end()) codec = it->second;
     }
-    if (name.empty()) {
+    if (codec == nullptr) {
       throw liberty::SimulationError(
           "no payload codec registered for '" + p->describe() +
           "' — this state cannot be made durable");
     }
     w.put_u8(kTagPayload);
-    w.put_string(name);
-    encode(*p, w);
+    w.put_string(codec->name);
+    codec->encode(*p, w);
   }
 }
 
@@ -227,26 +249,33 @@ liberty::Value decode_value(ByteReader& r) {
 //         u64 trace_count   { u64 hash }*
 //   u32 crc32 over prelude+body                    -- trailer
 
-std::string serialize_checkpoint(const CheckpointImage& img) {
-  ByteWriter w;
+std::string serialize_checkpoint(std::uint64_t topology_hash,
+                                 std::uint64_t aux_seed,
+                                 const KernelSnapshot& snapshot,
+                                 std::span<const std::uint64_t> trace_hashes) {
+  // Size hint: exact for the fixed fields and the trace prefix, nine bytes
+  // (tag + word) per slot; strings and payloads grow the buffer past it.
+  std::size_t hint = 16 + 4 * 8 + 1 + 8 + 8 * trace_hashes.size() + 4;
+  for (const auto& slots : snapshot.module_state) hint += 4 + 9 * slots.size();
+  ByteWriter w(hint);
   w.put_u32(kCheckpointMagic);
   w.put_u32(kCheckpointVersion);
   w.put_u64(0);  // body_len, backpatched below
   const std::size_t body_start = w.size();
-  w.put_u64(img.topology_hash);
-  w.put_u64(img.snapshot.cycle);
-  w.put_u8(img.snapshot.stop_requested ? 1 : 0);
-  w.put_u64(img.aux_seed);
-  w.put_u64(img.snapshot.module_state.size());
-  for (const auto& slots : img.snapshot.module_state) {
+  w.put_u64(topology_hash);
+  w.put_u64(snapshot.cycle);
+  w.put_u8(snapshot.stop_requested ? 1 : 0);
+  w.put_u64(aux_seed);
+  w.put_u64(snapshot.module_state.size());
+  for (const auto& slots : snapshot.module_state) {
     if (slots.size() > 0xffffffffULL) {
       throw liberty::SimulationError("checkpoint module state too large");
     }
     w.put_u32(static_cast<std::uint32_t>(slots.size()));
     for (const liberty::Value& v : slots) encode_value(w, v);
   }
-  w.put_u64(img.trace_hashes.size());
-  for (const std::uint64_t h : img.trace_hashes) w.put_u64(h);
+  w.put_u64(trace_hashes.size());
+  for (const std::uint64_t h : trace_hashes) w.put_u64(h);
   w.patch_u64(8, w.size() - body_start);
   const std::uint32_t crc = crc32_bytes(w.bytes().data(), w.size());
   w.put_u32(crc);

@@ -443,33 +443,34 @@ void SchedulerBase::run_cycle(Cycle cycle) {
   // run, so a throwing hook (injected handler fault) aborts at a
   // scheduler-invariant, recovery-friendly point.
   if (fault_ != nullptr) fault_->begin_cycle(cycle);
-  // Observability: with a probe installed the cycle is timed phase by
-  // phase and react() calls are attributed per module; with none, the
-  // whole block below is a single null check per phase boundary.  The
-  // context is reset in full, so a cycle that aborted with a probe
-  // installed never leaves a stale probe behind for the next one.
+  // Observability: any installed probe gets the cycle callbacks; a timed()
+  // one also has the cycle timed phase by phase and react() calls
+  // attributed per module.  With no probe, the whole block below is a
+  // single null check per phase boundary, and an untimed probe adds no
+  // clock read.  The context is reset in full, so a cycle that aborted
+  // with a probe installed never leaves a stale probe behind for the next.
   KernelProbe* const probe = probe_;
+  KernelProbe* const timing =
+      probe != nullptr && probe->timed() ? probe : nullptr;
   ctx_.resolutions = 0;
   ctx_.reacts = 0;
   ctx_.defaults = 0;
   ctx_.transferred.clear();
-  ctx_.timing = probe;
+  ctx_.timing = timing;
   using clock = std::chrono::steady_clock;
   clock::time_point mark;
-  if (probe != nullptr) {
-    probe->on_cycle_begin(cycle);
-    mark = clock::now();
-  }
+  if (probe != nullptr) probe->on_cycle_begin(cycle);
+  if (timing != nullptr) mark = clock::now();
   const auto end_phase = [&](SchedPhase p) {
     const clock::time_point now = clock::now();
-    probe->on_phase(p, cycle, seconds_between(mark, now));
+    timing->on_phase(p, cycle, seconds_between(mark, now));
     mark = now;
   };
 
   if (plan_ != nullptr) apply_consts();
 
   start_phase();
-  if (probe != nullptr) end_phase(SchedPhase::CycleStart);
+  if (timing != nullptr) end_phase(SchedPhase::CycleStart);
 
   resolve_cycle();
   react_calls_ += ctx_.reacts;
@@ -479,13 +480,11 @@ void SchedulerBase::run_cycle(Cycle cycle) {
   // Invariant window: everything resolved, nothing committed.  A probe
   // (resil::Watchdog) that throws here aborts the cycle with module state
   // still untouched by it — the rollback-soundness anchor.
-  if (probe != nullptr) {
-    probe->on_cycle_resolved(cycle);
-    end_phase(SchedPhase::Resolve);
-  }
+  if (probe != nullptr) probe->on_cycle_resolved(cycle);
+  if (timing != nullptr) end_phase(SchedPhase::Resolve);
 
   update_phase();
-  if (probe != nullptr) end_phase(SchedPhase::Update);
+  if (timing != nullptr) end_phase(SchedPhase::Update);
 
   // Commit transfers from the dirty list in canonical (connection id) order
   // so observer streams are identical across schedulers.
@@ -505,10 +504,8 @@ void SchedulerBase::run_cycle(Cycle cycle) {
   transfers_committed_ += dirty.size();
   ++cycles_run_;
 
-  if (probe != nullptr) {
-    end_phase(SchedPhase::Commit);
-    probe->on_cycle_end(cycle);
-  }
+  if (timing != nullptr) end_phase(SchedPhase::Commit);
+  if (probe != nullptr) probe->on_cycle_end(cycle);
 }
 
 void SchedulerBase::start_phase() {

@@ -85,20 +85,19 @@ Simulator::Simulator(Netlist& netlist, SchedulerKind kind)
   }
 }
 
-KernelSnapshot Simulator::snapshot() const {
+void Simulator::snapshot_into(KernelSnapshot& snap) const {
   // Backends holding module state outside the module objects (native
   // codegen) publish it first so save_state serializes the real state.
   sched_->sync_module_state();
-  KernelSnapshot snap;
   snap.cycle = now_;
   snap.stop_requested = netlist_.stop_requested();
-  snap.module_state.reserve(netlist_.module_count());
-  for (const auto& m : netlist_.modules()) {
-    StateWriter w;
-    m->save_state(w);
-    snap.module_state.push_back(std::move(w).take());
+  const auto& modules = netlist_.modules();
+  snap.module_state.resize(modules.size());
+  for (std::size_t i = 0; i < modules.size(); ++i) {
+    StateWriter w(std::move(snap.module_state[i]));
+    modules[i]->save_state(w);
+    snap.module_state[i] = std::move(w).take();
   }
-  return snap;
 }
 
 void Simulator::restore(const KernelSnapshot& snap) {

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -58,6 +59,53 @@ constexpr const char* kSuffix = ".lck";
   buf << in.rdbuf();
   out = buf.str();
   return true;
+}
+
+/// Checkpoint files in `dir` as (filename cycle, path), newest first.
+/// Empty for a missing or unreadable directory.
+[[nodiscard]] std::vector<std::pair<core::Cycle, std::string>>
+list_checkpoint_files(const std::string& dir) {
+  std::vector<std::pair<core::Cycle, std::string>> files;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    if (ec) break;
+    core::Cycle cycle = 0;
+    if (!entry.is_regular_file(ec) ||
+        !filename_cycle(entry.path().filename().string(), cycle)) {
+      continue;  // .tmp leftovers, foreign files
+    }
+    files.emplace_back(cycle, entry.path().string());
+  }
+  std::sort(files.begin(), files.end(),
+            [](const auto& a, const auto& b) { return a > b; });
+  return files;
+}
+
+/// Read, parse and topology-check one checkpoint file (topology_hash 0
+/// skips the check).  Fills `cand` — valid, or the reason it is not — and,
+/// when valid, `img`.
+bool examine_checkpoint(const std::string& path, core::Cycle name_cycle,
+                        std::uint64_t topology_hash, CheckpointCandidate& cand,
+                        core::CheckpointImage& img) {
+  cand.path = path;
+  cand.cycle = name_cycle;
+  std::string bytes;
+  if (!read_file(path, bytes)) {
+    cand.reason = "unreadable";
+    return false;
+  }
+  cand.bytes = bytes.size();
+  std::string why;
+  if (!core::parse_checkpoint(bytes, img, why)) {
+    cand.reason = why;
+  } else if (topology_hash != 0 && img.topology_hash != topology_hash) {
+    cand.reason = "topology mismatch (checkpoint belongs to a different "
+                  "netlist shape)";
+  } else {
+    cand.valid = true;
+    cand.cycle = img.snapshot.cycle;  // trust the file over the name
+  }
+  return cand.valid;
 }
 
 /// Write bytes durably: tmp file, fsync, atomic rename, directory fsync.
@@ -120,33 +168,10 @@ constexpr const char* kSuffix = ".lck";
 std::vector<CheckpointCandidate> scan_checkpoints(
     const std::string& dir, std::uint64_t topology_hash) {
   std::vector<CheckpointCandidate> list;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (ec) break;
-    if (!entry.is_regular_file(ec)) continue;
+  for (const auto& [cycle, path] : list_checkpoint_files(dir)) {
     CheckpointCandidate cand;
-    cand.path = entry.path().string();
-    if (!filename_cycle(entry.path().filename().string(), cand.cycle)) {
-      continue;  // .tmp leftovers, foreign files
-    }
-    std::string bytes;
-    if (!read_file(cand.path, bytes)) {
-      cand.reason = "unreadable";
-      list.push_back(std::move(cand));
-      continue;
-    }
-    cand.bytes = bytes.size();
     core::CheckpointImage img;
-    std::string why;
-    if (!core::parse_checkpoint(bytes, img, why)) {
-      cand.reason = why;
-    } else if (topology_hash != 0 && img.topology_hash != topology_hash) {
-      cand.reason = "topology mismatch (checkpoint belongs to a different "
-                    "netlist shape)";
-    } else {
-      cand.valid = true;
-      cand.cycle = img.snapshot.cycle;  // trust the file over the name
-    }
+    (void)examine_checkpoint(path, cycle, topology_hash, cand, img);
     list.push_back(std::move(cand));
   }
   std::sort(list.begin(), list.end(),
@@ -202,44 +227,37 @@ void DurableSupervisor::note(RecoveryReport* rep, std::string msg) {
 void DurableSupervisor::on_run_start(RecoveryReport& rep) {
   if (!durable_.resume) return;
   const std::uint64_t topo = netlist_.topology_hash();
-  const std::vector<CheckpointCandidate> candidates =
-      scan_checkpoints(durable_.dir, topo);
-  for (const CheckpointCandidate& cand : candidates) {
-    if (!cand.valid) {
-      ++stats_.corrupt_skipped;
-      note(&rep, "resume: skipped " + fs::path(cand.path).filename().string() +
-                     ": " + cand.reason);
-      continue;
-    }
-    std::string bytes;
+  // Newest first, each file read and parsed once: the first one that
+  // parses, fits this netlist and restores wins.
+  std::vector<CheckpointCandidate> rejected;
+  for (const auto& [cycle, path] : list_checkpoint_files(durable_.dir)) {
+    CheckpointCandidate cand;
     core::CheckpointImage img;
-    std::string why;
-    if (!read_file(cand.path, bytes) ||
-        !core::parse_checkpoint(bytes, img, why)) {
-      ++stats_.corrupt_skipped;
-      note(&rep, "resume: skipped " + fs::path(cand.path).filename().string() +
-                     ": " + (why.empty() ? "unreadable" : why));
-      continue;
+    if (examine_checkpoint(path, cycle, topo, cand, img)) {
+      try {
+        sim_->restore(img.snapshot);
+      } catch (const liberty::Error& e) {
+        cand.valid = false;
+        cand.reason = std::string("restore failed: ") + e.what();
+      }
     }
-    try {
-      sim_->restore(img.snapshot);
-    } catch (const liberty::Error& e) {
-      ++stats_.corrupt_skipped;
-      note(&rep, "resume: skipped " + fs::path(cand.path).filename().string() +
-                     ": restore failed: " + e.what());
-      continue;
+    if (cand.valid) {
+      recorder_.preload(std::move(img.trace_hashes));
+      resumed_cycle_ = img.snapshot.cycle;
+      last_spilled_cycle_ = static_cast<std::int64_t>(img.snapshot.cycle);
+      ++stats_.resumes;
+      note(&rep, "resumed from " + fs::path(path).filename().string() +
+                     " at cycle " + std::to_string(resumed_cycle_));
+      return;
     }
-    recorder_.preload(std::move(img.trace_hashes));
-    resumed_cycle_ = img.snapshot.cycle;
-    last_spilled_cycle_ = static_cast<std::int64_t>(img.snapshot.cycle);
-    ++stats_.resumes;
-    note(&rep, "resumed from " + fs::path(cand.path).filename().string() +
-                   " at cycle " + std::to_string(resumed_cycle_));
-    return;
+    ++stats_.corrupt_skipped;
+    note(&rep, "resume: skipped " + fs::path(path).filename().string() +
+                   ": " + cand.reason);
+    rejected.push_back(std::move(cand));
   }
   // Nothing usable — start fresh, and show exactly what was found and why
   // it was rejected (the shared lss_run/rack_sim message path).
-  note(&rep, describe_candidates(durable_.dir, candidates));
+  note(&rep, describe_candidates(durable_.dir, rejected));
   note(&rep, "resume: no valid checkpoint; starting fresh from cycle 0");
 }
 
@@ -261,15 +279,16 @@ void DurableSupervisor::spill(RecoveryReport* rep) {
     }
     return;
   }
-  core::CheckpointImage img;
-  img.topology_hash = netlist_.topology_hash();
-  img.aux_seed = durable_.aux_seed;
-  img.snapshot = checkpoint_;
-  img.trace_hashes = recorder_.hashes();
-  img.trace_hashes.resize(cycle, core::kFnv1aInit);
+  // Encode checkpoint_ and the recorder's trace-hash prefix [0, cycle) in
+  // place, without copying either.  The recorder holds every committed
+  // cycle; were it ever short, a resumed recorder fills the missing tail
+  // with empty-cycle hashes, as a padded prefix would.
+  const std::span<const std::uint64_t> hashes(recorder_.hashes());
   std::string bytes;
   try {
-    bytes = core::serialize_checkpoint(img);
+    bytes = core::serialize_checkpoint(
+        netlist_.topology_hash(), durable_.aux_seed, checkpoint_,
+        hashes.first(std::min<std::size_t>(hashes.size(), cycle)));
   } catch (const liberty::Error& e) {
     ++stats_.write_failures;
     if (!encode_failed_) {
@@ -306,21 +325,9 @@ void DurableSupervisor::prune() {
   // Retention is by filename cycle, validity-agnostic: a torn newest file
   // must not evict the older good one past the window, so keep_last counts
   // files, and the scanner still sees every survivor.
-  std::vector<std::pair<core::Cycle, std::string>> files;
+  const auto files = list_checkpoint_files(durable_.dir);
   std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(durable_.dir, ec)) {
-    if (ec) return;
-    core::Cycle cycle = 0;
-    if (!entry.is_regular_file(ec) ||
-        !filename_cycle(entry.path().filename().string(), cycle)) {
-      continue;
-    }
-    files.emplace_back(cycle, entry.path().string());
-  }
-  if (files.size() <= durable_.keep_last) return;
-  std::sort(files.begin(), files.end());
-  const std::size_t drop = files.size() - durable_.keep_last;
-  for (std::size_t i = 0; i < drop; ++i) {
+  for (std::size_t i = durable_.keep_last; i < files.size(); ++i) {
     fs::remove(files[i].second, ec);
   }
 }

@@ -19,7 +19,9 @@
 //   livelock     a wall-clock budget per cycle; a cycle that exceeds it is
 //                reported (fixed-point *non-convergence* is the scheduler's
 //                iteration cap throwing — classified via
-//                note_kernel_error).
+//                note_kernel_error).  The watchdog reads its own clock in
+//                on_cycle_begin/on_cycle_end, which fire for untimed
+//                probes too.
 //
 // Because on_cycle_resolved fires before any end_of_cycle handler commits
 // state, a watchdog configured to throw aborts the cycle pre-commit: every
@@ -78,11 +80,17 @@ namespace liberty::resil {
 
 /// KernelProbe that forwards every callback to an optional next probe.
 /// Watchdog and TraceRecorder derive from this so both can sit anywhere in
-/// a probe chain on the kernel's single probe slot.
+/// a probe chain on the kernel's single probe slot.  Neither needs phase or
+/// react timing itself, so a chain is timed exactly when something timed
+/// (an obs::CycleProfiler) sits at its end.
 class ChainedProbe : public core::KernelProbe {
  public:
   void set_next(core::KernelProbe* next) noexcept { next_ = next; }
   [[nodiscard]] core::KernelProbe* next() const noexcept { return next_; }
+
+  [[nodiscard]] bool timed() const override {
+    return next_ != nullptr && next_->timed();
+  }
 
   void on_cycle_begin(core::Cycle c) override {
     if (next_ != nullptr) next_->on_cycle_begin(c);

@@ -59,7 +59,11 @@ void Supervisor::build_simulator() {
   }
 }
 
-void Supervisor::take_checkpoint() { checkpoint_ = sim_->snapshot(); }
+void Supervisor::take_checkpoint() {
+  // Refill the previous checkpoint's slot vectors rather than allocating a
+  // fresh snapshot every checkpoint_every cycles.
+  sim_->snapshot_into(checkpoint_);
+}
 
 namespace {
 

@@ -1,6 +1,8 @@
 // Durable checkpoints and crash recovery (docs/resilience.md, "Durable
 // checkpoints"): the v1 on-disk format (roundtrip, torn-prefix and
-// bit-flip rejection, payload codecs), the DurableSupervisor (atomic
+// bit-flip rejection, payload codecs, the sliced CRC-32 against a bytewise
+// reference, byte identity of the golden file and of both encoder entry
+// points on a mid-flight rack), the DurableSupervisor (atomic
 // spill, retention, resume-with-skip, env-fault injection), the
 // fork+SIGKILL harness proving a killed run resumes bit-identically for
 // every scheduler at -O0 and -O2, the committed golden checkpoint every
@@ -11,11 +13,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +31,7 @@
 #include "liberty/core/simulator.hpp"
 #include "liberty/gen/compiled_scheduler.hpp"
 #include "liberty/gen/native.hpp"
+#include "liberty/mpl/messages.hpp"
 #include "liberty/mpl/mpl.hpp"
 #include "liberty/obs/metrics.hpp"
 #include "liberty/opt/optimizer.hpp"
@@ -35,6 +41,7 @@
 #include "liberty/resil/injector.hpp"
 #include "liberty/resil/recovery.hpp"
 #include "liberty/resil/watchdog.hpp"
+#include "liberty/scenario/rack.hpp"
 #include "liberty/support/error.hpp"
 #include "liberty/testing/netspec.hpp"
 #include "test_util.hpp"
@@ -163,6 +170,67 @@ TEST(Checkpoint, Crc32KnownVector) {
   EXPECT_EQ(liberty::core::crc32_bytes("56789", 5, head), 0xCBF43926u);
 }
 
+/// The textbook bytewise CRC-32 (reflected 0xEDB88320), kept here as the
+/// independent reference for the sliced implementation.
+class ReferenceCrc32 {
+ public:
+  ReferenceCrc32() {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1U) != 0 ? 0xedb88320U ^ (c >> 1) : c >> 1;
+      }
+      table_[i] = c;
+    }
+  }
+  /// Fold one byte into a raw (pre-final-xor) register.
+  [[nodiscard]] std::uint32_t step(std::uint32_t reg, std::uint8_t b) const {
+    return table_[(reg ^ b) & 0xffU] ^ (reg >> 8);
+  }
+  [[nodiscard]] std::uint32_t operator()(const std::uint8_t* p,
+                                         std::size_t n,
+                                         std::uint32_t seed = 0) const {
+    std::uint32_t reg = seed ^ 0xffffffffU;
+    for (std::size_t i = 0; i < n; ++i) reg = step(reg, p[i]);
+    return reg ^ 0xffffffffU;
+  }
+
+ private:
+  std::array<std::uint32_t, 256> table_{};
+};
+
+TEST(Checkpoint, Crc32SlicedMatchesBytewiseReference) {
+  const ReferenceCrc32 ref;
+  std::mt19937_64 rng(0xc3c3);
+  std::vector<std::uint8_t> buf(4096 + 8);
+  // Every length 0..4096 at every start offset mod 8, so each alignment
+  // and every tail length of the 8-byte main loop is covered.  The
+  // reference register advances one byte per length.
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+    const std::uint8_t* p = buf.data() + off;
+    std::uint32_t reg = 0xffffffffU;
+    for (std::size_t n = 0; n <= 4096; ++n) {
+      ASSERT_EQ(liberty::core::crc32_bytes(p, n), reg ^ 0xffffffffU)
+          << "length " << n << ", offset " << off;
+      if (n < 4096) reg = ref.step(reg, p[n]);
+    }
+  }
+  // Chained calls through `seed` equal one call over the concatenation.
+  for (int trial = 0; trial < 200; ++trial) {
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+    const std::size_t off = rng() % 8;
+    const std::size_t n = rng() % 4097;
+    const std::size_t cut = n == 0 ? 0 : rng() % (n + 1);
+    const std::uint8_t* p = buf.data() + off;
+    const std::uint32_t head = liberty::core::crc32_bytes(p, cut);
+    EXPECT_EQ(head, ref(p, cut));
+    EXPECT_EQ(liberty::core::crc32_bytes(p + cut, n - cut, head), ref(p, n))
+        << "split " << cut << "/" << n << ", offset " << off;
+    EXPECT_EQ(ref(p + cut, n - cut, head), ref(p, n));
+  }
+}
+
 TEST(Checkpoint, ReaderUnderflowThrowsNeverMisparses) {
   ByteWriter w;
   w.put_u32(7);
@@ -282,6 +350,101 @@ TEST(Checkpoint, TopologyHashIsStructuralAndStable) {
   Netlist c;
   build_netlist(c, other, 0);
   EXPECT_NE(a.topology_hash(), c.topology_hash());
+}
+
+TEST(Checkpoint, GoldenReserializesByteIdentical) {
+  const std::string path =
+      std::string(LIBERTY_REPO_ROOT) + "/tests/golden/checkpoint_v1.lck";
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << path;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  CheckpointImage img;
+  std::string why;
+  ASSERT_TRUE(liberty::core::parse_checkpoint(golden.str(), img, why)) << why;
+  EXPECT_EQ(liberty::core::serialize_checkpoint(img), golden.str())
+      << "the encoder no longer reproduces the committed v1 bytes";
+}
+
+liberty::core::ModuleRegistry& rack_reg() {
+  static liberty::core::ModuleRegistry r = [] {
+    liberty::core::ModuleRegistry m;
+    liberty::scenario::register_rack_libraries(m);
+    return m;
+  }();
+  return r;
+}
+
+/// Does any slot of `snap` hold a payload of dynamic type T?
+template <typename T>
+bool holds_payload(const liberty::core::KernelSnapshot& snap) {
+  for (const auto& slots : snap.module_state) {
+    for (const Value& v : slots) {
+      if (v.try_as<T>() != nullptr) return true;
+    }
+  }
+  return false;
+}
+
+TEST(Checkpoint, SpanEncoderMatchesImageEncoderOnAMidFlightRack) {
+  liberty::scenario::RackConfig cfg;
+  cfg.mesh_cols = 2;
+  cfg.mesh_rows = 2;
+  cfg.cores = 2;
+  cfg.with_ooo = true;
+  cfg.worker_iters = 64;
+  cfg.requests_per_node = 16;
+  // The rack itself carries no Stamped values; a stochastic stamped chain
+  // rides along as an independent component so the image holds all three
+  // payload codecs.
+  NetSpec spec = liberty::scenario::rack_netspec(cfg);
+  const std::size_t base = spec.modules.size();
+  spec.modules.push_back({"pcl.source", "stamp.src",
+                          params({{"kind", Value(std::string("random"))},
+                                  {"period", Value(std::int64_t{0})},
+                                  {"rate", Value(0.5)},
+                                  {"seed", Value(std::int64_t{7})},
+                                  {"stamp", Value(true)}})});
+  spec.modules.push_back(
+      {"pcl.delay", "stamp.d", params({{"latency", Value(std::int64_t{4})}})});
+  spec.modules.push_back({"pcl.sink", "stamp.snk", {}});
+  spec.edges.push_back({base, "out", base + 1, "in"});
+  spec.edges.push_back({base + 1, "out", base + 2, "in"});
+  Netlist nl;
+  spec.build(nl, rack_reg());
+  Simulator sim(nl, SchedulerKind::Static);
+  liberty::resil::TraceRecorder rec(nl);
+  sim.set_probe(&rec);
+
+  // Advance until flits, coherence messages and stamped values are all in
+  // flight at once.
+  CheckpointImage img;
+  bool mid_flight = false;
+  while (!mid_flight && sim.now() < 20000) {
+    sim.run(16);
+    img.snapshot = sim.snapshot();
+    mid_flight = holds_payload<liberty::ccl::Flit>(img.snapshot) &&
+                 holds_payload<liberty::mpl::CohMsg>(img.snapshot) &&
+                 holds_payload<liberty::pcl::Stamped>(img.snapshot);
+  }
+  ASSERT_TRUE(mid_flight) << "no cycle held every payload kind in flight";
+  img.topology_hash = nl.topology_hash();
+  img.aux_seed = 0x5eed;
+  img.trace_hashes = rec.hashes();
+
+  const std::string via_image = liberty::core::serialize_checkpoint(img);
+  const std::string via_span = liberty::core::serialize_checkpoint(
+      nl.topology_hash(), 0x5eed, img.snapshot,
+      std::span<const std::uint64_t>(rec.hashes()));
+  EXPECT_EQ(via_span, via_image);
+  for (const char* codec : {"ccl.flit", "mpl.cohmsg", "pcl.stamped"}) {
+    EXPECT_NE(via_span.find(codec), std::string::npos) << codec;
+  }
+  CheckpointImage back;
+  std::string why;
+  ASSERT_TRUE(liberty::core::parse_checkpoint(via_span, back, why)) << why;
+  EXPECT_EQ(back.snapshot.digest(), img.snapshot.digest());
+  EXPECT_EQ(back.trace_hashes, img.trace_hashes);
 }
 
 // ---------------------------------------------------------------------------

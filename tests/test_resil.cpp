@@ -13,6 +13,7 @@
 #include "liberty/core/simulator.hpp"
 #include "liberty/gen/compiled_scheduler.hpp"
 #include "liberty/obs/metrics.hpp"
+#include "liberty/obs/profiler.hpp"
 #include "liberty/opt/optimizer.hpp"
 #include "liberty/resil/fault_plan.hpp"
 #include "liberty/resil/injector.hpp"
@@ -475,6 +476,90 @@ TEST(Watchdog, ExportsMetrics) {
   EXPECT_GT(counters.at("resil.watchdog.violations"), 0u);
   EXPECT_EQ(counters.at("resil.watchdog.cycles_checked"), kCycles);
   EXPECT_GT(counters.at("resil.watchdog.protocol"), 0u);
+}
+
+// --- Probe timing contract --------------------------------------------------
+
+/// Counts every KernelProbe callback; timed() as configured.
+class CountingProbe final : public liberty::core::KernelProbe {
+ public:
+  explicit CountingProbe(bool timed) : timed_(timed) {}
+  [[nodiscard]] bool timed() const override { return timed_; }
+  void on_cycle_begin(Cycle) override { ++begins; }
+  void on_cycle_resolved(Cycle) override { ++resolved; }
+  void on_cycle_end(Cycle) override { ++ends; }
+  void on_phase(liberty::core::SchedPhase, Cycle, double) override {
+    ++phases;
+  }
+  void on_react(liberty::core::ModuleId, double) override { ++reacts; }
+
+  std::uint64_t begins = 0;
+  std::uint64_t resolved = 0;
+  std::uint64_t ends = 0;
+  std::uint64_t phases = 0;
+  std::uint64_t reacts = 0;
+
+ private:
+  bool timed_;
+};
+
+// Watchdog -> TraceRecorder is the supervisor's chain.  Ending it in an
+// untimed probe must leave the kernel clock-free (no on_phase/on_react)
+// while every cycle callback still arrives; ending it in a CycleProfiler
+// must time all four phases and attribute every react.  The trace is the
+// same either way.
+TEST(ProbeTiming, ChainIsTimedOnlyWhenItsTailIs) {
+  liberty::gen::ensure_registered();
+  // The matrix pipeline with a combinational pcl.probe before the sink,
+  // so the cycle has react() calls to attribute.
+  NetSpec spec = matrix_spec();
+  spec.modules.push_back({"pcl.probe", "tap", {}});
+  spec.edges.back().to = 3;
+  spec.edges.push_back({3, "out", 2, "in"});
+  for (const auto kind : {SchedulerKind::Dynamic, SchedulerKind::Static,
+                          SchedulerKind::Compiled}) {
+    Netlist untimed_nl;
+    spec.build(untimed_nl, registry());
+    Simulator untimed_sim(untimed_nl, kind);
+    Watchdog untimed_wd;
+    TraceRecorder untimed_rec(untimed_nl);
+    CountingProbe counter(false);
+    untimed_wd.set_next(&untimed_rec);
+    untimed_rec.set_next(&counter);
+    untimed_wd.attach(untimed_sim);
+    EXPECT_FALSE(untimed_wd.timed());
+    untimed_sim.run(kCycles);
+    EXPECT_EQ(counter.phases, 0u);
+    EXPECT_EQ(counter.reacts, 0u);
+    EXPECT_EQ(counter.begins, kCycles);
+    EXPECT_EQ(counter.resolved, kCycles);
+    EXPECT_EQ(counter.ends, kCycles);
+    EXPECT_EQ(untimed_wd.cycles_checked(), kCycles);
+
+    Netlist timed_nl;
+    spec.build(timed_nl, registry());
+    Simulator timed_sim(timed_nl, kind);
+    Watchdog timed_wd;
+    TraceRecorder timed_rec(timed_nl);
+    liberty::obs::CycleProfiler prof;
+    timed_wd.set_next(&timed_rec);
+    timed_rec.set_next(&prof);
+    timed_wd.attach(timed_sim);
+    EXPECT_TRUE(timed_wd.timed());
+    timed_sim.run(kCycles);
+    EXPECT_EQ(prof.cycles(), kCycles);
+    for (const auto& phase : prof.phases()) EXPECT_EQ(phase.count, kCycles);
+    std::uint64_t attributed = 0;
+    for (const std::uint64_t r : prof.module_reacts()) attributed += r;
+    EXPECT_GT(attributed, 0u);
+    EXPECT_EQ(attributed, timed_sim.scheduler().react_calls());
+    double react_seconds = 0.0;
+    for (const double sec : prof.module_seconds()) react_seconds += sec;
+    EXPECT_GT(react_seconds, 0.0);
+
+    EXPECT_EQ(untimed_rec.hashes(), timed_rec.hashes())
+        << "scheduler kind " << static_cast<int>(kind);
+  }
 }
 
 // --- Recovery ---------------------------------------------------------------

@@ -202,6 +202,85 @@ TEST(Snapshot, RestoreUnderO2ReplaysBitIdentical) {
   }
 }
 
+/// Three bursty stamped sources contending through an arbiter for one
+/// sink: arrivals average 0.9 per cycle against a service rate of 1, so
+/// queue occupancy — and with it each queue's save_state slot count —
+/// rises and falls from cycle to cycle.
+liberty::testing::NetSpec contention_spec() {
+  liberty::testing::NetSpec spec;
+  for (std::int64_t i = 0; i < 3; ++i) {
+    const std::string n = std::to_string(i);
+    spec.modules.push_back({"pcl.source", "src" + n,
+                            params({{"kind", Value(std::string("random"))},
+                                    {"period", Value(std::int64_t{0})},
+                                    {"rate", Value(0.3)},
+                                    {"seed", Value(11 + i)},
+                                    {"stamp", Value(true)}})});
+    spec.modules.push_back(
+        {"pcl.queue", "q" + n, params({{"depth", Value(std::int64_t{8})}})});
+  }
+  spec.modules.push_back({"pcl.arbiter", "arb", {}});
+  spec.modules.push_back({"pcl.sink", "snk", {}});
+  for (std::size_t i = 0; i < 3; ++i) {
+    spec.edges.push_back({2 * i, "out", 2 * i + 1, "in"});
+    spec.edges.push_back({2 * i + 1, "out", 6, "in"});
+  }
+  spec.edges.push_back({6, "out", 7, "in"});
+  return spec;
+}
+
+// snapshot_into refills one KernelSnapshot's slot vectors in place; a
+// vector that held more slots last time must not keep stale ones.  Every
+// refill must equal a fresh snapshot(), and a restore from the recycled
+// snapshot must replay bit-identically.
+TEST(Snapshot, SnapshotIntoReusedAcrossGrowAndShrinkMatchesFresh) {
+  Netlist netlist;
+  contention_spec().build(netlist, registry());
+  Simulator sim(netlist, liberty::core::SchedulerKind::Static);
+  std::vector<std::string> log;
+  record_transfers(sim, log);
+
+  KernelSnapshot reused;
+  std::vector<std::size_t> prev;
+  bool grew = false;
+  bool shrank_now = false;
+  // Refill after every cycle until some module's slot count has grown
+  // earlier and shrunk in the latest refill.
+  for (int i = 0; i < 2000 && !(grew && shrank_now); ++i) {
+    sim.step();
+    sim.snapshot_into(reused);
+    const KernelSnapshot fresh = sim.snapshot();
+    ASSERT_EQ(reused.cycle, fresh.cycle);
+    ASSERT_EQ(reused.module_state.size(), fresh.module_state.size());
+    std::vector<std::size_t> sizes;
+    for (std::size_t m = 0; m < fresh.module_state.size(); ++m) {
+      sizes.push_back(reused.module_state[m].size());
+      ASSERT_EQ(sizes[m], fresh.module_state[m].size()) << "module " << m;
+    }
+    shrank_now = false;
+    for (std::size_t m = 0; m < prev.size(); ++m) {
+      if (sizes[m] > prev[m]) grew = true;
+      if (sizes[m] < prev[m]) shrank_now = true;
+    }
+    prev = std::move(sizes);
+    ASSERT_EQ(reused.digest(), fresh.digest()) << "cycle " << sim.now();
+  }
+  ASSERT_TRUE(grew && shrank_now) << "occupancy never rose and fell";
+
+  const Cycle at = sim.now();
+  log.clear();
+  for (int i = 0; i < 60; ++i) sim.step();
+  const std::vector<std::string> original = log;
+  const std::uint64_t end_digest = sim.snapshot().digest();
+
+  sim.restore(reused);
+  EXPECT_EQ(sim.now(), at);
+  log.clear();
+  for (int i = 0; i < 60; ++i) sim.step();
+  EXPECT_EQ(log, original);
+  EXPECT_EQ(sim.snapshot().digest(), end_digest);
+}
+
 TEST(Snapshot, DigestEvolvesWithState) {
   Netlist netlist;
   pipeline_spec().build(netlist, registry());
